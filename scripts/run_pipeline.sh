@@ -7,7 +7,8 @@ SEED=${2:-0}
 
 confrank gen-data --out "$OUT/data" --force
 mkdir -p "$OUT/metrics"
-for v in Baseline Proposed TaskArch JointLoss AllFeats; do
+VARIANTS=$(python3 -c 'from confrank.config import VARIANTS; print(" ".join(VARIANTS))')
+for v in $VARIANTS; do
   confrank train --dataset "$OUT/data" --out "$OUT/train_$v" \
     --variant "$v" --seed "$SEED" --force
   cp "$OUT/train_$v"/metrics_*.json "$OUT/metrics/"

@@ -43,11 +43,10 @@ class Node:
 class Parameter:
     """Named trainable array with a persistent gradient buffer."""
 
-    def __init__(self, name: str, value, trainable: bool = True):
+    def __init__(self, name: str, value):
         self.name = name
         self.value = _as_f64(value)
         self.grad = np.zeros_like(self.value)
-        self.trainable = trainable
 
     @property
     def shape(self):
@@ -93,8 +92,7 @@ class Tape:
         node = Node(param.value)
 
         def back(g):
-            if param.trainable:
-                param.grad += g
+            param.grad += g
 
         self._ops.append((node, back))
         return node
@@ -289,8 +287,7 @@ class Tape:
         out = Node(param.value[idx])
 
         def back(g):
-            if param.trainable:
-                np.add.at(param.grad, idx, g)
+            np.add.at(param.grad, idx, g)
 
         self._ops.append((out, back))
         return out
@@ -345,8 +342,6 @@ class Adam:
 
     def step(self):
         for p in self.params:
-            if not p.trainable:
-                continue
             st = self.state[p.name]
             st["t"] += 1
             st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * p.grad

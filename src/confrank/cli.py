@@ -60,6 +60,12 @@ def _dataset_days(dataset_dir) -> tuple:
     return manifest, schema, days
 
 
+def _dataset_world(dataset_dir):
+    """The generator's ground truth stored next to the day files."""
+    return S.unpack_world(S.load_container(os.path.join(dataset_dir, "world.json"),
+                                           fmt=S.WORLD_FORMAT))
+
+
 # -- gen-data -----------------------------------------------------------
 
 
@@ -81,9 +87,8 @@ def cmd_gen_data(args) -> int:
         S.write_day_file(os.path.join(args.out, name), log, schema.hash)
         filenames.append(name)
     write_schema_file(schema, os.path.join(args.out, "schema.tsv"))
-    S.save_container(os.path.join(args.out, "world.json"),
-                     {"config": C.to_dict(data_cfg), "arrays": S.pack_world(world)},
-                     fmt="confrank-world")
+    S.save_container(os.path.join(args.out, "world.json"), S.pack_world(world),
+                     fmt=S.WORLD_FORMAT)
     filenames += ["schema.tsv", "world.json"]
     S.write_manifest(args.out, C.config_hash(data_cfg), schema.hash, filenames)
     print(f"wrote {len(filenames)} files to {args.out} "
@@ -94,7 +99,7 @@ def cmd_gen_data(args) -> int:
 # -- train --------------------------------------------------------------
 
 
-def _ecosystem_summary(world, days, data_cfg) -> dict:
+def _ecosystem_summary(world, days) -> dict:
     """Observed-log analyses: item-age engagement, tail coverage, cohorts."""
     event_days = np.concatenate([np.full(d["user_ids"].shape[0], d["day"]) for d in days])
     items = np.concatenate([d["item_ids"] for d in days])
@@ -109,7 +114,7 @@ def _ecosystem_summary(world, days, data_cfg) -> dict:
     tail = E.tail_coverage(item_eng, popularity=world.popularity,
                            item_exposures=item_exp)
 
-    n_days = data_cfg.n_days
+    n_days = world.cfg.n_days
     active = np.zeros((world.n_users, n_days), dtype=bool)
     active[users, event_days] = True
     window = min(28, n_days - 1)
@@ -150,11 +155,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out, f"checkpoint_{tag}.json")
     T.save_checkpoint(state, ckpt_path)
 
-    world_payload = S.load_container(os.path.join(args.dataset, "world.json"),
-                                     fmt="confrank-world")
-    data_cfg = C._from_dict(C.DataConfig, world_payload["config"])
-    world = _world_from_payload(world_payload, data_cfg)
-    summary = _ecosystem_summary(world, days, data_cfg)
+    summary = _ecosystem_summary(_dataset_world(args.dataset), days)
 
     metrics = {
         "config_hash": state.config_hash,
@@ -169,21 +170,12 @@ def cmd_train(args) -> int:
     for r in rows:
         losses = r.train_losses
         extra = ""
-        if state.model.config.variant != "Baseline" and losses is not None:
+        if state.model.spec.causal and losses is not None:
             extra = f" L_C={losses.conformity:.5f} L_R={losses.relevance:.5f}"
         print(f"day={r.day} holdout_NE={r.ne_aggregated:.5f}"
               + (f" train_total={losses.total:.5f}" if losses else "") + extra)
     print(f"checkpoint: {ckpt_path}")
     return EXIT_OK
-
-
-def _world_from_payload(payload, data_cfg):
-    from .datagen import World
-    a = {k: S.unpack_array(v) for k, v in payload["arrays"].items()}
-    return World(data_cfg, a["conformity"], a["interests"], a["activity"],
-                 a["age_bucket"], a["popularity"], a["topics"], a["quality"],
-                 a["birth_day"], a["content_type"], a["z_log_pop"],
-                 a["top_decile"].astype(bool))
 
 
 # -- ablate -------------------------------------------------------------
@@ -195,25 +187,49 @@ def cmd_ablate(args) -> int:
     if len(seeds) < 5:
         raise CliError(f"ablation needs >= 5 seeds, got {len(seeds)}", EXIT_VALIDATION)
     _, schema, days = _dataset_days(args.dataset)
+    world = _dataset_world(args.dataset)
     _prepare_out_dir(args.out, args.force)
 
     variants = args.variants or list(C.VARIANTS)
     result = E.ablation_run(cfg.model, cfg.train, days, schema, seeds, variants)
+    replay, probes = _replay_and_probes(result.pop("models"), result["seeds"], world,
+                                        days, schema, cfg.eval)
     table_text = E.render_ablation_table(result)
     with open(os.path.join(args.out, "ablation.txt"), "w") as fh:
         fh.write(table_text + "\n")
-    serializable = dict(result)
-    serializable["table"] = {
-        v: {**row, "per_seed": {str(s): p for s, p in row["per_seed"].items()}}
-        for v, row in result["table"].items()
-    }
-    serializable["failures"] = {f"{v}/{s}": m for (v, s), m in result["failures"].items()}
+    failures = {f"{v}/{s}": m for (v, s), m in result["failures"].items()}
+    serializable = dict(result, failures=failures, replay=replay, probes=probes)
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump(serializable, fh, indent=1)
     print(table_text)
     if result["failures"]:
         print(f"warning: {len(result['failures'])} runs failed (partial results)")
     return EXIT_OK
+
+
+def _replay_and_probes(models, seeds, world, days, schema, eval_cfg) -> tuple:
+    """Per seed, on the last dataset day: counterfactual replay of every
+    trained variant, with history folded from the earlier days only, and
+    causal-embedding probes of each causal variant on the day's first
+    eval_cfg.probe_samples rows. `models` maps (variant, seed) to a model."""
+    history = History.empty(world.n_users, world.n_items)
+    for d in days[:-1]:
+        history.update(DayLog(d["day"], d["user_ids"], d["item_ids"], d["labels"], d["x"],
+                              d["features"], d["conformity_component"],
+                              d["relevance_component"]), world)
+    last, n = days[-1], eval_cfg.probe_samples
+    replay, probes = {}, {}
+    for seed in seeds:
+        by_variant = {v: m for (v, s), m in models.items() if s == seed}
+        rep = E.counterfactual_replay(by_variant, world, history, schema, eval_cfg,
+                                      day=last["day"], seed=seed)
+        replay[seed] = {v: {"counts": r["counts"], "total_engagement": r["total_engagement"]}
+                        for v, r in rep.items()}
+        probes[seed] = {
+            v: E.disentanglement_probe(m, world, last["features"][:n],
+                                       last["user_ids"][:n], last["item_ids"][:n])
+            for v, m in by_variant.items() if m.spec.causal}
+    return replay, probes
 
 
 # -- rank ---------------------------------------------------------------
@@ -228,6 +244,7 @@ def cmd_rank(args) -> int:
         raise CliError(str(e), EXIT_VALIDATION)
     item_ids, features, schema_hash = _read_candidates(args.candidates)
     try:
+        state.model.schema.check_rows(features)
         ranked = E.rank_topk(state.model, features, item_ids, args.k,
                              user_id=args.user, schema_hash=schema_hash)
     except Exception as e:
@@ -245,6 +262,8 @@ def _read_candidates(path):
             rows = [line.split("\t") for line in fh if line.strip()]
     except OSError as e:
         raise CliError(f"cannot read candidates: {e}", EXIT_VALIDATION)
+    if not rows:
+        raise CliError(f"candidate file {path} has no rows", EXIT_VALIDATION)
     mat = np.array(rows, dtype=np.float64)
     return mat[:, 0].astype(np.int64), mat[:, 1:], meta.get("schema_hash")
 

@@ -12,7 +12,27 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-VARIANTS = ("Baseline", "Proposed", "TaskArch", "JointLoss", "AllFeats")
+from .schema import ATTRIBUTE, STATISTICAL
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """The wiring choices one model variant makes; see model.py."""
+
+    causal: bool  # builds the conformity and relevance modules
+    inject_at: str = "bottom"  # causal embeddings join the head input or its last layer
+    stop_grad: bool = True  # task losses cannot reach the causal modules
+    tower_buckets: tuple = (STATISTICAL, ATTRIBUTE)  # conformity, relevance; None = all
+    joint_mix: bool = False  # causal targets blended with the anchor label
+
+
+VARIANTS = {
+    "Baseline": VariantSpec(causal=False),
+    "Proposed": VariantSpec(causal=True),
+    "TaskArch": VariantSpec(causal=True, inject_at="last"),
+    "JointLoss": VariantSpec(causal=True, stop_grad=False, joint_mix=True),
+    "AllFeats": VariantSpec(causal=True, tower_buckets=(None, None)),
+}
 
 
 class ConfigError(ValueError):
@@ -101,7 +121,6 @@ class TrainConfig:
 class EvalConfig:
     combine_weights: tuple = ()  # empty → all-ones over tasks
     tail_quantiles: tuple = (0.5, 0.75)
-    age_buckets: tuple = (0, 1, 3, 10)  # left edges; last bucket is open
     replay_users: int = 300
     replay_candidates: int = 100
     replay_k: int = 10

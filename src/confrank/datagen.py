@@ -99,12 +99,6 @@ class History:
         return cls(0, zi(n_items), zi(n_items), zi(n_items),
                    zi(n_users), zi(n_users), zi(n_users), zi(n_users))
 
-    def copy(self) -> "History":
-        return History(self.day, *(a.copy() for a in (
-            self.item_impressions, self.item_clicks, self.item_views,
-            self.user_impressions, self.user_engagements, self.user_social,
-            self.user_top_decile_engagements)))
-
     def update(self, log: DayLog, world: World):
         if log.day < self.day:
             raise DataGenError(f"day {log.day} already folded (at {self.day})")

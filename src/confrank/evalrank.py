@@ -87,30 +87,22 @@ def tail_coverage(item_engagements, quantiles=(0.5, 0.75), popularity=None,
 
 
 AGE_BUCKET_LABELS = ("[0-1 day)", "[1-3 days)", "[3-10 days)", "[10+ days)")
+AGE_BUCKET_EDGES = (0, 1, 3, 10)  # left edges in days; the last bucket is open
 
 
-def engagement_by_item_age(event_days, item_birth_days, engaged,
-                           buckets=(0, 1, 3, 10)) -> dict:
+def engagement_by_item_age(event_days, item_birth_days, engaged) -> dict:
     """Engagement rate per item-age bucket (half-open, last one unbounded)."""
     age = np.asarray(event_days, dtype=np.int64) - np.asarray(item_birth_days, np.int64)
     if np.any(age < 0):
         raise EvalError(f"event precedes item birth (age {age.min()})")
     engaged = np.asarray(engaged, dtype=np.float64)
-    edges = list(buckets[1:]) + [np.inf]
+    edges = list(AGE_BUCKET_EDGES[1:]) + [np.inf]
     out = {}
-    for label, lo, hi in zip(AGE_BUCKET_LABELS, buckets, edges):
+    for label, lo, hi in zip(AGE_BUCKET_LABELS, AGE_BUCKET_EDGES, edges):
         mask = (age >= lo) & (age < hi)
         n = int(mask.sum())
         out[label] = {"events": n, "rate": float(engaged[mask].mean()) if n else None}
     return out
-
-
-def age_table_deltas(treatment: dict, control: dict) -> dict:
-    deltas = {}
-    for label in AGE_BUCKET_LABELS:
-        a, b = treatment[label]["rate"], control[label]["rate"]
-        deltas[label] = None if (a is None or b is None or b == 0) else 100.0 * (a - b) / b
-    return deltas
 
 
 def cohort_metrics(daily_active, post_engagements, window: int = 28) -> dict:
@@ -234,7 +226,11 @@ def aggregate_ne(rows) -> float:
 
 def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, days: list,
                  schema: Schema, seeds, variants=None) -> dict:
-    """run_experiment for every (variant, seed); NE deltas vs same-seed Baseline."""
+    """run_experiment for every (variant, seed); NE deltas vs same-seed Baseline.
+
+    The result also holds the trained models under "models", keyed by
+    (variant, seed), so later analyses need not train them again.
+    """
     variants = list(variants) if variants else list(VARIANTS)
     seeds = list(seeds)
     if len(seeds) < 5:
@@ -242,14 +238,14 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, days: list,
     if "Baseline" not in variants:
         variants = ["Baseline"] + variants
 
-    runs = {}
-    failed = {}
+    runs, models, failed = {}, {}, {}
     for variant in variants:
         for seed in seeds:
             cfg = dataclasses.replace(model_cfg, variant=variant, seed=seed)
             try:
-                _, rows = T.run_experiment(cfg, train_cfg, days, schema)
+                state, rows = T.run_experiment(cfg, train_cfg, days, schema)
                 runs[(variant, seed)] = aggregate_ne(rows)
+                models[(variant, seed)] = state.model
             except Exception as e:  # partial-result flag, not a crash
                 failed[(variant, seed)] = repr(e)
 
@@ -277,7 +273,8 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, days: list,
             "reference_delta_pct": REFERENCE_DELTAS_PCT.get(variant),
             "partial": any("error" in v for v in per_seed.values()),
         }
-    return {"seeds": seeds, "variants": variants, "table": table, "failures": failed}
+    return {"seeds": seeds, "variants": variants, "table": table, "failures": failed,
+            "models": models}
 
 
 # -- rendering ----------------------------------------------------------
@@ -305,14 +302,9 @@ def render_ablation_table(result: dict) -> str:
     return "\n".join(lines)
 
 
-def render_age_table(table: dict, deltas: dict | None = None) -> str:
-    lines = [" | ".join(f"{label:>12}" for label in AGE_BUCKET_LABELS)]
-    def fmt(v, pct=False):
-        if v is None:
-            return "n/a"
-        return f"{v:+.2f}%" if pct else f"{v:.4f}"
-    lines.append(" | ".join(f"{fmt(table[label]['rate']):>12}" for label in AGE_BUCKET_LABELS))
-    if deltas is not None:
-        lines.append(" | ".join(f"{fmt(deltas[label], pct=True):>12}"
-                                for label in AGE_BUCKET_LABELS))
-    return "\n".join(lines)
+def render_age_table(table: dict) -> str:
+    def fmt(rate):
+        return "n/a" if rate is None else f"{rate:.4f}"
+    return "\n".join([" | ".join(f"{label:>12}" for label in AGE_BUCKET_LABELS),
+                      " | ".join(f"{fmt(table[label]['rate']):>12}"
+                                 for label in AGE_BUCKET_LABELS)])

@@ -11,27 +11,34 @@ pair of residual towers (user side, item side):
     embedding.
 
 Both embeddings are concatenated into the task heads through a stop-gradient
-barrier, so task losses never push gradients into the causal modules. The
-ablation variants rewire exactly one of these choices at a time:
+barrier, so task losses never push gradients into the causal modules. Each
+variant is a `config.VariantSpec`; the ablations rewire exactly one choice
+of the reference wiring (Proposed) at a time:
 
-  Baseline   no causal modules at all
-  Proposed   embeddings join the shared-bottom output (reference wiring)
-  TaskArch   embeddings join at the final layer of each task head
-  JointLoss  no stop-gradient; causal targets blended with the anchor label
-  AllFeats   causal towers read the full unpartitioned feature vector
+  variant    causal  inject_at  stop_grad  tower_buckets           joint_mix
+  Baseline   no      -          -          -                       -
+  Proposed   yes     bottom     yes        statistical, attribute  no
+  TaskArch   yes     last       yes        statistical, attribute  no
+  JointLoss  yes     bottom     no         statistical, attribute  yes
+  AllFeats   yes     bottom     yes        all, all                no
+
+inject_at "bottom" concatenates the embeddings onto the shared-bottom output
+that enters each task head; "last" concatenates them onto the input of each
+head's final layer. joint_mix blends the causal targets with the anchor
+task label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses as L
 from .autodiff import Adam, EmbeddingTable, Node, Parameter, Tape, glorot_uniform
-from .config import ModelConfig
+from .config import VARIANTS, ModelConfig
 from .labels import CausalLabels
-from .schema import ATTRIBUTE, CATEGORICAL, DENSE, STATISTICAL, Schema
+from .schema import Schema
 
 GROUPS = ("shared_bottom", "task_heads", "conformity", "relevance", "mixture")
 
@@ -42,53 +49,6 @@ class SchemaHashError(ValueError):
 
 class VariantError(ValueError):
     pass
-
-
-def _side(name: str) -> str:
-    return "user" if name.startswith("user_") else "item"
-
-
-@dataclass
-class FeatureLayout:
-    """Column bookkeeping: where each feature lives in a raw feature row."""
-
-    schema: Schema
-    dense_cols: dict = field(default_factory=dict)  # name -> [col indices]
-    cat_col: dict = field(default_factory=dict)  # name -> col index
-
-    def __post_init__(self):
-        pos = 0
-        for s in self.schema.specs:
-            if s.encoding == DENSE:
-                self.dense_cols[s.name] = list(range(pos, pos + s.width))
-                pos += s.width
-            else:
-                self.cat_col[s.name] = pos
-                pos += 1
-
-    def dense_for(self, bucket=None, side=None) -> list:
-        cols = []
-        for s in self.schema.specs:
-            if s.encoding != DENSE:
-                continue
-            if bucket is not None and s.bucket != bucket:
-                continue
-            if side is not None and _side(s.name) != side:
-                continue
-            cols.extend(self.dense_cols[s.name])
-        return cols
-
-    def cats_for(self, bucket=None, side=None) -> list:
-        out = []
-        for s in self.schema.specs:
-            if s.encoding != CATEGORICAL:
-                continue
-            if bucket is not None and s.bucket != bucket:
-                continue
-            if side is not None and _side(s.name) != side:
-                continue
-            out.append(s)
-        return out
 
 
 @dataclass
@@ -130,7 +90,7 @@ class _Mlp:
     """Dense stack with relu between layers; final layer is linear.
 
     extra_final widens the final layer's fan-in for inputs concatenated
-    right before it (the TaskArch wiring).
+    right before it (inject_at "last").
     """
 
     def __init__(self, b: _Builder, name: str, in_width: int, widths, extra_final: int = 0):
@@ -144,7 +104,7 @@ class _Mlp:
 
     def __call__(self, tape: Tape, x: Node, stop_before_last: Node | None = None) -> Node:
         """Runs the stack; if stop_before_last is given, it is concatenated
-        onto the input of the final layer (the TaskArch wiring)."""
+        onto the input of the final layer (inject_at "last")."""
         for i, (w, bias) in enumerate(self.layers):
             last = i == len(self.layers) - 1
             if last and stop_before_last is not None:
@@ -198,23 +158,21 @@ class Cam2Model:
 
     def __init__(self, config: ModelConfig, schema: Schema):
         self.config = config
+        self.spec = VARIANTS[config.variant]
         self.schema = schema
         self.schema_hash = schema.hash
-        self.layout = FeatureLayout(schema)
-        self.k_topics = len(self.layout.dense_cols["item_topic_flags"])
+        self.k_topics = len(schema.dense_cols["item_topic_flags"])
         self._groups = {g: [] for g in GROUPS}
         self._build()
 
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        cfg = self.config
-        lay = self.layout
-        variant = cfg.variant
+        cfg, spec = self.config, self.spec
 
         sb = _Builder(cfg.seed, "shared_bottom", 0)
-        self._sb_dense_cols = lay.dense_for()
-        self._sb_cats = lay.cats_for()
+        self._sb_dense_cols = self.schema.dense_for()
+        self._sb_cats = self.schema.cats_for()
         self._sb_embeds = {
             s.name: sb.embedding(s.name, s.vocab_size, cfg.embed_dim) for s in self._sb_cats
         }
@@ -222,9 +180,8 @@ class Cam2Model:
         self.shared_bottom = _Mlp(sb, "mlp", sb_in, cfg.shared_widths)
         self._groups["shared_bottom"] = sb.params
 
-        if variant != "Baseline":
-            bucket_c = None if variant == "AllFeats" else STATISTICAL
-            bucket_r = None if variant == "AllFeats" else ATTRIBUTE
+        if spec.causal:
+            bucket_c, bucket_r = spec.tower_buckets
             cm = _Builder(cfg.seed, "conformity", 2)
             self._conf_inputs = self._tower_inputs(cm, bucket_c)
             self.conformity = _CausalModule(
@@ -246,7 +203,7 @@ class Cam2Model:
             for side in ("user", "item"):
                 if self._input_width(self._conf_inputs, side) == 0:
                     raise VariantError(
-                        f"variant {variant} needs at least one {side}-side "
+                        f"variant {cfg.variant} needs at least one {side}-side "
                         "statistical feature for the conformity module")
 
             mx = _Builder(cfg.seed, "mixture", 4)
@@ -256,24 +213,20 @@ class Cam2Model:
 
         th = _Builder(cfg.seed, "task_heads", 1)
         head_in = cfg.shared_widths[-1]
-        extra = 2 * cfg.causal_embed_dim if variant != "Baseline" else 0
-        self.task_heads = []
-        for t in range(len(cfg.task_weights)):
-            if variant in ("Proposed", "JointLoss", "AllFeats"):
-                mlp = _Mlp(th, f"task{t}", head_in + extra, cfg.head_widths)
-            elif variant == "TaskArch":
-                mlp = _Mlp(th, f"task{t}", head_in, cfg.head_widths, extra_final=extra)
-            else:
-                mlp = _Mlp(th, f"task{t}", head_in, cfg.head_widths)
-            self.task_heads.append(mlp)
+        extra = 2 * cfg.causal_embed_dim if spec.causal else 0
+        last = spec.inject_at == "last"
+        self.task_heads = [
+            _Mlp(th, f"task{t}", head_in + (0 if last else extra), cfg.head_widths,
+                 extra_final=extra if last else 0)
+            for t in range(len(cfg.task_weights))]
         self._groups["task_heads"] = th.params
 
     def _tower_inputs(self, builder: _Builder, bucket):
         """Per-side (dense column list, [(spec, table)]) for a causal module."""
         out = {}
         for side in ("user", "item"):
-            dense_cols = self.layout.dense_for(bucket, side)
-            cats = self.layout.cats_for(bucket, side)
+            dense_cols = self.schema.dense_for(bucket, side)
+            cats = self.schema.cats_for(bucket, side)
             tables = [(s, builder.embedding(f"{side}/{s.name}", s.vocab_size,
                                             self.config.embed_dim)) for s in cats]
             out[side] = (dense_cols, tables)
@@ -312,7 +265,7 @@ class Cam2Model:
         if dense_cols:
             pieces.append(tape.constant(features[:, dense_cols]))
         for spec, table in cat_tables:
-            idx = features[:, self.layout.cat_col[spec.name]].astype(np.int64)
+            idx = features[:, self.schema.cat_col[spec.name]].astype(np.int64)
             pieces.append(tape.embedding(table, idx))
         if not pieces:
             return tape.constant(np.zeros((features.shape[0], 0)))
@@ -322,7 +275,6 @@ class Cam2Model:
                 schema_hash: str | None = None) -> ModelOutputs:
         if schema_hash is not None:
             self.check_schema(schema_hash)
-        cfg = self.config
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.schema.arity():
             raise SchemaHashError(
@@ -334,45 +286,39 @@ class Cam2Model:
         shared_out = tape.relu(self.shared_bottom(tape, sb_in))
 
         out = ModelOutputs(task_probs=[])
-        if cfg.variant == "Baseline":
-            for head in self.task_heads:
-                logit = head(tape, shared_out)
-                out.task_probs.append(self._squeeze_prob(tape, logit))
-            return out
-
-        u_hat, i_hat, e_conf = self.conformity(
-            tape,
-            self._gather_input(tape, features, *self._conf_inputs["user"]),
-            self._gather_input(tape, features, *self._conf_inputs["item"]))
-        u_x, i_x, e_rel = self.relevance(
-            tape,
-            self._gather_input(tape, features, *self._rel_inputs["user"]),
-            self._gather_input(tape, features, *self._rel_inputs["item"]))
-        out.u_hat, out.i_hat = self._flatten(tape, u_hat), self._flatten(tape, i_hat)
-        out.u_x, out.i_x = u_x, i_x
-        out.e_conf, out.e_rel = e_conf, e_rel
-
-        if cfg.variant == "JointLoss":
-            ec, er = e_conf, e_rel  # gradients from task losses flow through
-        else:
-            ec, er = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
+        spec = self.spec
+        if spec.causal:
+            u_hat, i_hat, e_conf = self.conformity(
+                tape,
+                self._gather_input(tape, features, *self._conf_inputs["user"]),
+                self._gather_input(tape, features, *self._conf_inputs["item"]))
+            u_x, i_x, e_rel = self.relevance(
+                tape,
+                self._gather_input(tape, features, *self._rel_inputs["user"]),
+                self._gather_input(tape, features, *self._rel_inputs["item"]))
+            out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
+            out.u_x, out.i_x = u_x, i_x
+            out.e_conf, out.e_rel = e_conf, e_rel
+            if spec.stop_grad:
+                e_conf, e_rel = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
 
         for head in self.task_heads:
-            if cfg.variant == "TaskArch":
-                logit = head(tape, shared_out, stop_before_last=tape.concat([ec, er], axis=1))
+            if not spec.causal:
+                logit = head(tape, shared_out)
+            elif spec.inject_at == "last":
+                logit = head(tape, shared_out,
+                             stop_before_last=tape.concat([e_conf, e_rel], axis=1))
             else:
-                logit = head(tape, tape.concat([shared_out, ec, er], axis=1))
+                logit = head(tape, tape.concat([shared_out, e_conf, e_rel], axis=1))
             out.task_probs.append(self._squeeze_prob(tape, logit))
 
-        out.mixture_prob = self._mixture(tape, out, self.topic_flags(features))
+        if spec.causal:
+            out.mixture_prob = self._mixture(tape, out, self.topic_flags(features))
         return out
 
     def _squeeze_prob(self, tape: Tape, logit: Node) -> Node:
         p = tape.clip(tape.sigmoid(logit), L.PROB_CLIP, 1.0 - L.PROB_CLIP)
         return tape.sum(p, axis=1)  # [n, 1] -> [n]
-
-    def _flatten(self, tape: Tape, node: Node) -> Node:
-        return tape.sum(node, axis=1)
 
     def _mixture(self, tape: Tape, out: ModelOutputs, topic_flags: np.ndarray) -> Node:
         """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel); only the two
@@ -393,7 +339,7 @@ class Cam2Model:
         return tape.add(tape.mul(w1, p_conf), tape.mul(w2, p_rel))
 
     def topic_flags(self, features: np.ndarray) -> np.ndarray:
-        cols = self.layout.dense_cols["item_topic_flags"]
+        cols = self.schema.dense_cols["item_topic_flags"]
         return np.asarray(features, dtype=np.float64)[:, cols]
 
     # -- losses ---------------------------------------------------------
@@ -406,7 +352,7 @@ class Cam2Model:
         optimized node additionally carries the small diagnostic mixture term
         on disjoint parameters.
         """
-        cfg = self.config
+        cfg, spec = self.config, self.spec
         flags = self.topic_flags(features)
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
@@ -418,10 +364,10 @@ class Cam2Model:
         report_tasks = tuple(float(n.data) for n in task_nodes)
 
         l_conf = l_rel = 0.0
-        if cfg.variant != "Baseline":
+        if spec.causal:
             assert causal is not None
             c_bar, r_bar = causal.conformity, causal.per_interest
-            if cfg.variant == "JointLoss":
+            if spec.joint_mix:
                 lam = cfg.joint_label_mix
                 anchor = labels[:, 0]
                 c_bar = (1 - lam) * c_bar + lam * anchor
@@ -442,8 +388,8 @@ class Cam2Model:
             objective = tape.add(objective, n)
 
         weights = L.LossWeights(cfg.task_weights,
-                                cfg.conformity_weight if cfg.variant != "Baseline" else 0.0,
-                                cfg.relevance_weight if cfg.variant != "Baseline" else 0.0)
+                                cfg.conformity_weight if spec.causal else 0.0,
+                                cfg.relevance_weight if spec.causal else 0.0)
         report = L.LossReport(report_tasks, l_conf, l_rel,
                               L.total_loss(report_tasks, l_conf, l_rel, weights),
                               labels.shape[0])
@@ -482,10 +428,10 @@ class Cam2Model:
         return probs
 
     def causal_embeddings(self, features: np.ndarray):
+        if not self.spec.causal:
+            raise VariantError(f"{self.config.variant} has no causal embeddings")
         tape = Tape()
         outs = self.forward(tape, features)
-        if outs.e_conf is None:
-            raise VariantError("Baseline has no causal embeddings")
         e_conf, e_rel = outs.e_conf.data.copy(), outs.e_rel.data.copy()
         tape.dispose()
         return e_conf, e_rel
@@ -497,10 +443,9 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
     Runs one forward+backward per loss component on identical inputs and
     reports max-abs gradient per (component, group).
     """
-    cfg = model.config
     labels = np.asarray(labels, dtype=np.float64)
     components = ["task"]
-    if cfg.variant != "Baseline":
+    if model.spec.causal:
         components += ["conformity_loss", "relevance_loss", "mixture_loss"]
 
     report = {}
@@ -530,18 +475,19 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
 
 
 def check_decoupling(model: Cam2Model, features, labels, causal):
-    """Abort-worthy audit of the variant's gradient-flow contract."""
+    """Abort-worthy audit of the variant's gradient-flow contract: with a
+    stop-gradient no task gradient reaches the causal modules, without one
+    some does, and the two causal losses never cross modules."""
     prov = gradient_provenance(model, features, labels, causal)
-    v = model.config.variant
-    if v == "Baseline":
+    if not model.spec.causal:
         return prov
-    if v == "JointLoss":
-        if prov["task"]["conformity"] <= 1e-12 and prov["task"]["relevance"] <= 1e-12:
-            raise AssertionError("JointLoss expects task gradients in causal modules")
-    else:
+    if model.spec.stop_grad:
         for g in ("conformity", "relevance"):
             if prov["task"][g] != 0.0:
                 raise AssertionError(f"task losses leaked gradient into {g} module")
+    elif prov["task"]["conformity"] <= 1e-12 and prov["task"]["relevance"] <= 1e-12:
+        raise AssertionError(
+            f"{model.config.variant} expects task gradients in causal modules")
     if prov["conformity_loss"]["relevance"] != 0.0 or prov["relevance_loss"]["conformity"] != 0.0:
         raise AssertionError("causal losses leaked across modules")
     return prov

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 DENSE = "dense-real"
 CATEGORICAL = "categorical"
 STATISTICAL = "statistical-engagement"
@@ -44,11 +46,35 @@ class FeatureSpec:
             raise SchemaError(f"{self.name} width must be >= 1")
 
 
+def _side(name: str) -> str:
+    return "user" if name.startswith("user_") else "item"
+
+
 @dataclass
 class Schema:
-    """Validated, ordered feature list with a stable content hash."""
+    """Validated, ordered feature list with a stable content hash.
+
+    Also the one owner of the column layout of a raw feature row: dense
+    features take `width` columns, categoricals one column each.
+    """
 
     specs: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.dense_cols = {}  # name -> [column indices]
+        self.cat_col = {}  # name -> column index
+        pos = 0
+        for s in self.specs:
+            if s.encoding == DENSE:
+                self.dense_cols[s.name] = list(range(pos, pos + s.width))
+                pos += s.width
+            else:
+                self.cat_col[s.name] = pos
+                pos += 1
+        self._arity = pos
+        cats = self.cats_for()
+        self._cat_cols = np.array([self.cat_col[s.name] for s in cats], dtype=np.int64)
+        self._vocab = np.array([s.vocab_size for s in cats], dtype=np.float64)
 
     @property
     def hash(self) -> str:
@@ -61,16 +87,42 @@ class Schema:
     def specs_in(self, bucket: str) -> list:
         return [s for s in self.specs if s.bucket == bucket]
 
-    def dense_width(self, bucket=None) -> int:
-        return sum(
-            s.width
-            for s in self.specs
-            if s.encoding == DENSE and (bucket is None or s.bucket == bucket)
-        )
-
     def arity(self) -> int:
         """Raw vector length: dense widths plus one slot per categorical."""
-        return sum(s.width if s.encoding == DENSE else 1 for s in self.specs)
+        return self._arity
+
+    def _select(self, encoding, bucket, side) -> list:
+        return [s for s in self.specs if s.encoding == encoding
+                and (bucket is None or s.bucket == bucket)
+                and (side is None or _side(s.name) == side)]
+
+    def dense_for(self, bucket=None, side=None) -> list:
+        """Column indices of the dense features in a bucket / on a side."""
+        return [c for s in self._select(DENSE, bucket, side) for c in self.dense_cols[s.name]]
+
+    def cats_for(self, bucket=None, side=None) -> list:
+        """Specs of the categorical features in a bucket / on a side."""
+        return self._select(CATEGORICAL, bucket, side)
+
+    def check_rows(self, rows) -> np.ndarray:
+        """Refuse a feature matrix with the wrong width, a non-finite value,
+        or a categorical value that is not an integer inside its vocab."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self._arity:
+            raise SchemaError(
+                f"feature rows of shape {rows.shape} do not match schema arity {self._arity}")
+        bad = np.argwhere(~np.isfinite(rows))
+        if bad.size:
+            r, c = bad[0]
+            raise SchemaError(f"non-finite value {rows[r, c]} in row {r}, column {c}")
+        idx = rows[:, self._cat_cols]
+        bad = np.argwhere((idx != np.floor(idx)) | (idx < 0) | (idx >= self._vocab))
+        if bad.size:
+            r, j = bad[0]
+            spec = self.cats_for()[j]
+            raise SchemaError(f"index {idx[r, j]:g} in row {r} out of vocab for {spec.name} "
+                              f"(integers 0..{spec.vocab_size - 1})")
+        return rows
 
 
 @dataclass
@@ -96,42 +148,27 @@ def validate_schema(specs) -> Schema:
 
 def partition(raw, schema: Schema) -> PartitionedFeatures:
     """Route one raw feature row into its declared buckets, order preserved."""
-    if len(raw) != schema.arity():
-        raise SchemaError(
-            f"raw vector length {len(raw)} does not match schema arity {schema.arity()}"
-        )
-    out = PartitionedFeatures([], [], [], [], [s.name for s in schema.specs])
-    pos = 0
-    for s in schema.specs:
-        if s.encoding == DENSE:
-            chunk = list(raw[pos : pos + s.width])
-            pos += s.width
-            (out.statistical_dense if s.bucket == STATISTICAL else out.attribute_dense).extend(chunk)
-        else:
-            idx = int(raw[pos])
-            pos += 1
-            if idx < 0 or idx >= s.vocab_size:
-                raise SchemaError(f"index {idx} out of vocab for {s.name}")
-            (out.statistical_cats if s.bucket == STATISTICAL else out.attribute_cats).append(
-                (s.name, idx)
-            )
-    return out
+    row = schema.check_rows([raw])[0]
+
+    def dense(bucket):
+        return row[schema.dense_for(bucket)].tolist()
+
+    def cats(bucket):
+        return [(s.name, int(row[schema.cat_col[s.name]])) for s in schema.cats_for(bucket)]
+
+    return PartitionedFeatures(dense(STATISTICAL), cats(STATISTICAL), dense(ATTRIBUTE),
+                               cats(ATTRIBUTE), [s.name for s in schema.specs])
 
 
 def merge(parts: PartitionedFeatures, schema: Schema) -> list:
     """Inverse of partition: rebuild the raw row in schema order."""
-    sd = iter(parts.statistical_dense)
-    ad = iter(parts.attribute_dense)
-    sc = iter(parts.statistical_cats)
-    ac = iter(parts.attribute_cats)
-    raw = []
-    for s in schema.specs:
-        if s.encoding == DENSE:
-            src = sd if s.bucket == STATISTICAL else ad
-            raw.extend(next(src) for _ in range(s.width))
-        else:
-            src = sc if s.bucket == STATISTICAL else ac
-            raw.append(next(src)[1])
+    raw = [None] * schema.arity()
+    for bucket, dense, cats in ((STATISTICAL, parts.statistical_dense, parts.statistical_cats),
+                                (ATTRIBUTE, parts.attribute_dense, parts.attribute_cats)):
+        for col, v in zip(schema.dense_for(bucket), dense):
+            raw[col] = v
+        for name, idx in cats:
+            raw[schema.cat_col[name]] = idx
     return raw
 
 

@@ -14,7 +14,11 @@ import os
 
 import numpy as np
 
+from . import config as C
+from .datagen import World
+
 CHECKPOINT_FORMAT = "confrank-checkpoint"
+WORLD_FORMAT = "confrank-world"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -134,23 +138,32 @@ def write_manifest(out_dir, config_hash: str, schema_hash: str, filenames):
     save_container(os.path.join(out_dir, MANIFEST_NAME), payload, fmt="confrank-manifest")
 
 
-def load_manifest(out_dir, verify: bool = True) -> dict:
+def load_manifest(out_dir) -> dict:
     payload = load_container(os.path.join(out_dir, MANIFEST_NAME), fmt="confrank-manifest")
-    if verify:
-        for name, digest in payload["files"].items():
-            path = os.path.join(out_dir, name)
-            if not os.path.exists(path) or file_sha256(path) != digest:
-                raise CheckpointError(f"dataset file {name} missing or tampered")
+    for name, digest in payload["files"].items():
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path) or file_sha256(path) != digest:
+            raise CheckpointError(f"dataset file {name} missing or tampered")
     return payload
 
 
-def pack_world(world) -> dict:
-    arrays = {
-        "conformity": world.conformity, "interests": world.interests,
-        "activity": world.activity, "age_bucket": world.age_bucket,
-        "popularity": world.popularity, "topics": world.topics,
-        "quality": world.quality, "birth_day": world.birth_day,
-        "content_type": world.content_type, "z_log_pop": world.z_log_pop,
-        "top_decile": world.top_decile.astype(np.int64),
-    }
-    return {name: pack_array(a) for name, a in arrays.items()}
+# -- world.json: the generator's ground truth ---------------------------
+
+_WORLD_ARRAYS = ("conformity", "interests", "activity", "age_bucket", "popularity",
+                 "topics", "quality", "birth_day", "content_type", "z_log_pop",
+                 "top_decile")
+
+
+def pack_world(world: World) -> dict:
+    """Container payload for world.json: the data config plus every array."""
+    arrays = {name: getattr(world, name) for name in _WORLD_ARRAYS}
+    arrays["top_decile"] = world.top_decile.astype(np.int64)
+    return {"config": C.to_dict(world.cfg),
+            "arrays": {name: pack_array(a) for name, a in arrays.items()}}
+
+
+def unpack_world(payload: dict) -> World:
+    """Inverse of pack_world."""
+    a = {k: unpack_array(v) for k, v in payload["arrays"].items()}
+    a["top_decile"] = a["top_decile"].astype(bool)
+    return World(C._from_dict(C.DataConfig, payload["config"]), **a)

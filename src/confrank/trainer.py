@@ -69,7 +69,7 @@ class TrainState:
 
 
 def _causal_targets(model: Cam2Model, day_data: dict):
-    if model.config.variant == "Baseline":
+    if not model.spec.causal:
         return None
     flags = model.topic_flags(day_data["features"])
     return causal_labels(day_data["labels"][:, 0], day_data["x"],
@@ -133,7 +133,8 @@ def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
 def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
                    days: list, schema: Schema, seed: int | None = None,
                    audit_first_batch: bool = True):
-    """Prequential loop: evaluate day d+1, after having trained through d.
+    """A fresh model, its first-batch decoupling audit, then the prequential
+    loop of resume_experiment.
 
     Returns (final TrainState, list of MetricsRow). `days` is a list of
     day-data dicts (see serialize.read_day_file) in chronological order.
@@ -151,14 +152,7 @@ def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
                  "x": first["x"][:n0]}
         check_decoupling(model, batch["features"], batch["labels"],
                          _causal_targets(model, batch))
-
-    rows = []
-    for d in range(len(days) - 1):
-        report = train_day(state, days[d])
-        ne, agg = evaluate_ne(model, days[d + 1])
-        rows.append(MetricsRow(cfg.variant, cfg.seed, days[d + 1]["day"], ne, agg,
-                               report))
-    return state, rows
+    return resume_experiment(state, days)
 
 
 # -- checkpoints --------------------------------------------------------
@@ -209,7 +203,9 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
 
 
 def resume_experiment(state: TrainState, days: list):
-    """Continue a checkpointed run over the remaining days (prequential)."""
+    """Prequential loop: evaluate day d+1, after having trained through d.
+    Days the state has already trained on are skipped, so a checkpointed
+    run continues over the remaining days."""
     rows = []
     for d in range(len(days) - 1):
         if days[d]["day"] is not None and days[d]["day"] <= state.last_day:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,8 +7,12 @@ import numpy as np
 import pytest
 
 from confrank import cli
+from confrank import evalrank as E
 from confrank import serialize as S
-from confrank.config import VARIANTS
+from confrank import trainer as T
+from confrank.config import VARIANTS, run_config_from_dict
+from confrank.datagen import History, generate_world, simulate_days
+from confrank.schema import default_schema, read_schema_file
 
 TINY_CONFIG = {
     "data": {"n_users": 60, "n_items": 120, "k_topics": 4, "n_days": 4,
@@ -153,6 +158,30 @@ class TestAblate:
         assert all(cell["delta_pct"] == 0.0 for cell in base["per_seed"].values())
         assert len(base["per_seed"]) == 5
         assert not result["failures"]
+        seeds = [str(s) for s in TINY_CONFIG["seeds"]]
+        assert sorted(result["replay"]) == sorted(result["probes"]) == seeds
+        for seed in seeds:
+            assert set(result["replay"][seed]) == {"Baseline", "Proposed"}
+            assert set(result["probes"][seed]) == {"Proposed"}  # Baseline has no embeddings
+
+        # Proposed's replay is the criterion-7 replay of a same-seed model:
+        # history folds every day but the replayed last one.
+        cfg = run_config_from_dict(TINY_CONFIG)
+        world = generate_world(cfg.data)
+        schema = default_schema(cfg.data.k_topics, cfg.data.n_age_buckets,
+                                cfg.data.n_content_types)
+        logs = list(simulate_days(world, schema))
+        days = [T.day_data_from_log(log, schema.hash) for log in logs]
+        history = History.empty(world.n_users, world.n_items)
+        for log in logs[:-1]:
+            history.update(log, world)
+        seed = TINY_CONFIG["seeds"][0]
+        model_cfg = dataclasses.replace(cfg.model, variant="Proposed", seed=seed)
+        state, _ = T.run_experiment(model_cfg, cfg.train, days, schema)
+        direct = E.counterfactual_replay({"Proposed": state.model}, world, history, schema,
+                                         cfg.eval, day=logs[-1].day, seed=seed)
+        assert result["replay"][str(seed)]["Proposed"]["counts"] == {
+            str(q): c for q, c in direct["Proposed"]["counts"].items()}
 
     def test_too_few_seeds(self, cli_env, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env
@@ -203,6 +232,31 @@ class TestRank:
         ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
         assert cli.main(["rank", "--checkpoint", ckpt,
                          "--candidates", candidates, "-k", "0"]) == 1
+
+    @pytest.mark.parametrize("defect,message", [
+        ("header_only", "no rows"),
+        ("nan_feature", "non-finite"),
+        ("fractional_category", "out of vocab"),
+    ])
+    def test_malformed_candidates_refused(self, cli_env, tmp_path, capsys, defect, message):
+        root, _, data_dir = cli_env
+        day = S.read_day_file(os.path.join(data_dir, S.day_filename(1)))
+        features = day["features"][:20].copy()
+        if defect == "header_only":
+            features = features[:0]
+        elif defect == "nan_feature":
+            features[3, 0] = np.nan
+        else:
+            schema = read_schema_file(os.path.join(data_dir, "schema.tsv"))
+            features[3, schema.cat_col["content_type"]] = 2.7
+        path = tmp_path / "bad.tsv"
+        cli.write_candidates_file(str(path), np.arange(features.shape[0]), features,
+                                  day["schema_hash"])
+        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
+        assert cli.main(["rank", "--checkpoint", ckpt, "--candidates", str(path),
+                         "-k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
     def test_missing_checkpoint(self, cli_env, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", "/nonexistent.json",

@@ -69,6 +69,19 @@ class TestPartition:
         with pytest.raises(S.SchemaError, match="out of vocab"):
             S.partition([7], schema)
 
+    @pytest.mark.parametrize("raw,message", [
+        ([0.0, 2.5], "out of vocab"),  # categoricals are integers
+        ([np.nan, 2.0], "non-finite"),
+        ([0.0, -1.0], "out of vocab"),
+    ])
+    def test_malformed_row_rejected(self, raw, message):
+        schema = S.validate_schema([
+            S.FeatureSpec("d", S.DENSE, S.STATISTICAL),
+            S.FeatureSpec("c", S.CATEGORICAL, S.ATTRIBUTE, vocab_size=3),
+        ])
+        with pytest.raises(S.SchemaError, match=message):
+            S.partition(raw, schema)
+
     @given(schema_strategy(), st.data())
     def test_partition_merge_roundtrip(self, schema, data):
         raw = []
