@@ -7,6 +7,17 @@ component-wise activations, embedding lookups, elementwise arithmetic,
 reductions, concatenation and a stop-gradient barrier.
 
 Everything is float64. Tapes are single-use: build one per forward pass.
+
+Buffer ownership: an ``Adam`` optimizer holds every parameter's value,
+gradient and both moments in one contiguous buffer each, in ``params``
+order; ``Parameter.value`` and ``Parameter.grad`` are views into those
+buffers, and assigning to either copies into the view. Building a second
+optimizer over the same parameters re-homes them into its own buffers; the
+first optimizer then no longer updates them.
+
+Node gradients are never modified in place: the first gradient a node
+receives is stored as is and later ones are added out of place, so a
+backward function may pass its incoming gradient (or a view of it) on.
 """
 
 from __future__ import annotations
@@ -40,20 +51,54 @@ class Node:
         return self.data.shape
 
 
+def _assign(dst: np.ndarray, src, what: str):
+    src = _as_f64(src)
+    if src.shape != dst.shape:
+        raise ShapeMismatchError(f"cannot assign shape {src.shape} to {what} of shape {dst.shape}")
+    dst[...] = src
+
+
 class Parameter:
-    """Named trainable array with a persistent gradient buffer."""
+    """Named trainable array with a persistent gradient buffer.
+
+    ``value`` and ``grad`` keep their arrays for life (an optimizer may move
+    them into its buffers); assigning to either copies into the array.
+    """
 
     def __init__(self, name: str, value):
         self.name = name
-        self.value = _as_f64(value)
-        self.grad = np.zeros_like(self.value)
+        self._value = np.array(value, dtype=np.float64)
+        self._grad = np.zeros_like(self._value)
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, arr):
+        _assign(self._value, arr, f"{self.name} value")
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, arr):
+        _assign(self._grad, arr, f"{self.name} grad")
 
     @property
     def shape(self):
-        return self.value.shape
+        return self._value.shape
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
+        self._grad.fill(0.0)
+
+    def _rehome(self, value: np.ndarray, grad: np.ndarray):
+        """Move value and grad into the given flat slices of an owner's buffers."""
+        value[:] = self._value.ravel()
+        grad[:] = self._grad.ravel()
+        self._value = value.reshape(self.shape)
+        self._grad = grad.reshape(self.shape)
 
 
 class EmbeddingTable:
@@ -65,6 +110,13 @@ class EmbeddingTable:
         self.vocab_size = vocab_size
         self.dim = dim
         self.rows = Parameter(name, rng.normal(0.0, 0.01, size=(vocab_size, dim)))
+
+
+def _spread(g, axis, like: np.ndarray) -> np.ndarray:
+    """Broadcast a reduction's output gradient back over the reduced axis."""
+    if axis is None:
+        return np.full_like(like, g)
+    return np.broadcast_to(np.expand_dims(g, axis), like.shape).copy()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -92,7 +144,7 @@ class Tape:
         node = Node(param.value)
 
         def back(g):
-            param.grad += g
+            param._grad += g
 
         self._ops.append((node, back))
         return node
@@ -208,17 +260,21 @@ class Tape:
         out = Node(a.data.sum(axis=axis))
 
         def back(g):
-            if axis is None:
-                self._accum(a, np.full_like(a.data, g))
-            else:
-                self._accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+            self._accum(a, _spread(g, axis, a.data))
 
         self._ops.append((out, back))
         return out
 
     def mean(self, a: Node, axis=None) -> Node:
-        n = a.data.size if axis is None else a.data.shape[axis]
-        return self.scale(self.sum(a, axis=axis), 1.0 / n)
+        """sum * (1/n), not ndarray.mean, so the bits match a scaled sum."""
+        c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+        out = Node(a.data.sum(axis=axis) * c)
+
+        def back(g):
+            self._accum(a, _spread(g * c, axis, a.data))
+
+        self._ops.append((out, back))
+        return out
 
     # -- linear algebra -------------------------------------------------
 
@@ -246,9 +302,16 @@ class Tape:
             raise ShapeMismatchError(
                 f"dense bias {bias.shape} does not match weights {weights.shape}"
             )
-        w = self.leaf(weights)
-        b = self.leaf(bias)
-        return self.add(self.matmul(x, w), b)
+        w = weights.value
+        out = Node(x.data @ w + bias.value)
+
+        def back(g):
+            weights._grad += x.data.T @ g
+            bias._grad += g.sum(axis=0)
+            self._accum(x, g @ w.T)
+
+        self._ops.append((out, back))
+        return out
 
     def concat(self, nodes: list, axis: int = 1) -> Node:
         datas = [n.data for n in nodes]
@@ -287,7 +350,7 @@ class Tape:
         out = Node(param.value[idx])
 
         def back(g):
-            np.add.at(param.grad, idx, g)
+            np.add.at(param._grad, idx, g)
 
         self._ops.append((out, back))
         return out
@@ -318,51 +381,71 @@ class Tape:
 
     @staticmethod
     def _accum(node: Node, g: np.ndarray):
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad += g
+        node.grad = g if node.grad is None else node.grad + g
 
 
 class Adam:
-    """Adam with bias correction; state is serializable for warm starts."""
+    """Adam with bias correction; state is serializable for warm starts.
+
+    Owns one flat buffer each for the values, gradients and both moments of
+    ``params`` (see the module docstring), so a step is a few whole-buffer
+    ops and all parameters share one step count ``t``.
+    """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.state = {
-            p.name: {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": 0}
-            for p in self.params
-        }
+        self.t = 0
+        n = sum(p.value.size for p in self.params)
+        self._value, self._grad = np.empty(n), np.empty(n)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._moments = {}  # name -> (m view, v view)
+        lo = 0
+        for p in self.params:
+            hi = lo + p.value.size
+            p._rehome(self._value[lo:hi], self._grad[lo:hi])
+            self._moments[p.name] = (self._m[lo:hi].reshape(p.shape),
+                                     self._v[lo:hi].reshape(p.shape))
+            lo = hi
+
+    @property
+    def state(self) -> dict:
+        """name -> {"m", "v", "t"}; m and v are views into the moment buffers."""
+        return {name: {"m": m, "v": v, "t": self.t} for name, (m, v) in self._moments.items()}
 
     def zero_grads(self):
-        for p in self.params:
-            p.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self):
-        for p in self.params:
-            st = self.state[p.name]
-            st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * p.grad
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * p.grad**2
-            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # Same arithmetic, element for element, as the per-parameter formula
+        # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
+        # p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+        self.t += 1
+        g, m, v = self._grad, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g**2
+        denom = np.sqrt(v / (1.0 - self.beta2 ** self.t))
+        denom += self.eps
+        self._value -= self.lr * (m / (1.0 - self.beta1 ** self.t)) / denom
 
     def state_dict(self) -> dict:
-        return {
-            name: {"m": st["m"].copy(), "v": st["v"].copy(), "t": st["t"]}
-            for name, st in self.state.items()
-        }
+        return {name: {"m": m.copy(), "v": v.copy(), "t": self.t}
+                for name, (m, v) in self._moments.items()}
 
     def load_state_dict(self, state: dict):
+        steps = {int(st["t"]) for st in state.values()}
+        if len(steps) > 1:
+            raise ValueError(f"optimizer state has unequal step counts {sorted(steps)}")
         for name, st in state.items():
-            self.state[name] = {
-                "m": _as_f64(st["m"]).reshape(self.state[name]["m"].shape),
-                "v": _as_f64(st["v"]).reshape(self.state[name]["v"].shape),
-                "t": int(st["t"]),
-            }
+            m, v = self._moments[name]
+            m[...] = _as_f64(st["m"]).reshape(m.shape)
+            v[...] = _as_f64(st["v"]).reshape(v.shape)
+        if steps:
+            self.t = steps.pop()
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

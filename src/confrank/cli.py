@@ -257,15 +257,21 @@ def cmd_rank(args) -> int:
 def _read_candidates(path):
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
-            meta = dict(kv.split("=") for kv in header.lstrip("# ").split("\t"))
+            header = fh.readline()
             rows = [line.split("\t") for line in fh if line.strip()]
     except OSError as e:
         raise CliError(f"cannot read candidates: {e}", EXIT_VALIDATION)
+    meta = {}
+    if header.startswith("#"):
+        meta = dict(kv.split("=", 1) for kv in header.lstrip("# ").strip().split("\t")
+                    if "=" in kv)
+    if not meta.get("schema_hash"):
+        raise CliError(f"candidate file {path} does not start with a "
+                       "'# schema_hash=...' header line", EXIT_VALIDATION)
     if not rows:
         raise CliError(f"candidate file {path} has no rows", EXIT_VALIDATION)
     mat = np.array(rows, dtype=np.float64)
-    return mat[:, 0].astype(np.int64), mat[:, 1:], meta.get("schema_hash")
+    return mat[:, 0].astype(np.int64), mat[:, 1:], meta["schema_hash"]
 
 
 def write_candidates_file(path, item_ids, features, schema_hash):

@@ -353,7 +353,6 @@ class Cam2Model:
         on disjoint parameters.
         """
         cfg, spec = self.config, self.spec
-        flags = self.topic_flags(features)
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
 
@@ -366,12 +365,7 @@ class Cam2Model:
         l_conf = l_rel = 0.0
         if spec.causal:
             assert causal is not None
-            c_bar, r_bar = causal.conformity, causal.per_interest
-            if spec.joint_mix:
-                lam = cfg.joint_label_mix
-                anchor = labels[:, 0]
-                c_bar = (1 - lam) * c_bar + lam * anchor
-                r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * flags
+            c_bar, r_bar = self.causal_loss_targets(features, labels, causal)
             lc_node = self._conformity_node(tape, outs, c_bar)
             lr_node = self._relevance_node(tape, outs, r_bar)
             l_conf, l_rel = float(lc_node.data), float(lr_node.data)
@@ -394,6 +388,18 @@ class Cam2Model:
                               L.total_loss(report_tasks, l_conf, l_rel, weights),
                               labels.shape[0])
         return objective, outs, report
+
+    def causal_loss_targets(self, features: np.ndarray, labels: np.ndarray,
+                            causal: CausalLabels):
+        """(conformity, per-interest) targets the causal losses regress on:
+        the causal labels, blended with the anchor task label if joint_mix."""
+        c_bar, r_bar = causal.conformity, causal.per_interest
+        if self.spec.joint_mix:
+            lam = self.config.joint_label_mix
+            anchor = labels[:, 0]
+            c_bar = (1 - lam) * c_bar + lam * anchor
+            r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * self.topic_flags(features)
+        return c_bar, r_bar
 
     def _bce_node(self, tape: Tape, p: Node, y: np.ndarray) -> Node:
         yn = tape.constant(y)
@@ -447,6 +453,7 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
     components = ["task"]
     if model.spec.causal:
         components += ["conformity_loss", "relevance_loss", "mixture_loss"]
+        c_bar, r_bar = model.causal_loss_targets(features, labels, causal)
 
     report = {}
     for comp in components:
@@ -460,9 +467,9 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
             for n in nodes[1:]:
                 node = tape.add(node, n)
         elif comp == "conformity_loss":
-            node = model._conformity_node(tape, outs, causal.conformity)
+            node = model._conformity_node(tape, outs, c_bar)
         elif comp == "relevance_loss":
-            node = model._relevance_node(tape, outs, causal.per_interest)
+            node = model._relevance_node(tape, outs, r_bar)
         else:
             node = model._bce_node(tape, outs.mixture_prob, labels[:, 0])
         tape.backward(node)

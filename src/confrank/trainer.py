@@ -191,8 +191,7 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
         arr = S.unpack_array(payload["params"][p.name])
         if arr.shape != p.value.shape:
             raise S.CheckpointError(f"parameter {p.name} shape mismatch")
-        p.value = arr.astype(np.float64)
-        p.zero_grad()
+        p.value = arr
     state = TrainState(model, train_cfg)
     state.optimizer.load_state_dict({
         name: {"m": S.unpack_array(st["m"]), "v": S.unpack_array(st["v"]), "t": st["t"]}

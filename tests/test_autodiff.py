@@ -49,6 +49,40 @@ class TestDense:
         fd = finite_difference_grad(loss_at, w0.copy())
         assert np.allclose(w.grad, fd, atol=1e-6)
 
+    def test_bias_and_input_gradients_match_finite_differences(self):
+        # a nonlinear loss over a 3-row batch, so the bias gradient sums rows
+        rng = np.random.default_rng(1)
+        x0, w0, b0 = rng.normal(size=(3, 2)), rng.normal(size=(2, 4)), rng.normal(size=4)
+
+        def loss(tape, x, b):
+            return tape.sum(tape.sigmoid(tape.dense(x, make_param("w", w0), b)))
+
+        def at_bias(bv):
+            t = Tape()
+            return float(loss(t, Node(x0), make_param("b", bv)).data)
+
+        def at_input(xv):
+            t = Tape()
+            return float(loss(t, Node(xv), make_param("b", b0)).data)
+
+        tape = Tape()
+        b, xp = make_param("b", b0), make_param("x", x0)
+        tape.backward(loss(tape, tape.leaf(xp), b))
+        assert np.allclose(b.grad, finite_difference_grad(at_bias, b0.copy()), atol=1e-8)
+        assert np.allclose(xp.grad, finite_difference_grad(at_input, x0.copy()), atol=1e-8)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_mean_is_scaled_sum(axis):
+    a0 = np.random.default_rng(2).normal(size=(3, 5))
+    n = a0.size if axis is None else a0.shape[axis]
+    tape = Tape()
+    p = make_param("a", a0)
+    out = tape.mean(tape.leaf(p), axis=axis)
+    assert np.asarray(out.data).tobytes() == np.asarray(a0.sum(axis=axis) * (1.0 / n)).tobytes()
+    tape.backward(tape.sum(out))
+    assert np.array_equal(p.grad, np.full(a0.shape, 1.0 / n))
+
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
@@ -235,6 +269,63 @@ class TestAdam:
         opt.step()
         opt2.step()
         assert p.value[0] == q.value[0]
+
+    def test_unequal_step_counts_refused(self):
+        opt = Adam([make_param("p", [0.0]), make_param("q", [1.0])])
+        state = opt.state_dict()
+        state["q"]["t"] = 3
+        with pytest.raises(ValueError, match="unequal step counts"):
+            opt.load_state_dict(state)
+
+    def test_setters_copy_into_the_buffer_view(self):
+        p = make_param("w", np.zeros((2, 3)))
+        Adam([p])
+        value, grad = p.value, p.grad
+        src = np.arange(6.0).reshape(2, 3)
+        p.value = src
+        p.grad = 2.0 * src
+        src[0, 0] = 99.0
+        assert p.value is value and p.grad is grad
+        assert p.value[0, 0] == 0.0 and np.array_equal(p.grad, 2.0 * np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ShapeMismatchError, match=r"\(6,\).*\(2, 3\)"):
+            p.value = np.zeros(6)
+        with pytest.raises(ShapeMismatchError):
+            p.grad = np.zeros((3, 2))
+
+    def test_flat_step_matches_per_parameter_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        shapes = [(3, 4), (4,), (1, 2), (5, 1)]
+        init = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(size=s) * (rng.random(s) > 0.2) for s in shapes]
+                 for _ in range(6)]
+        lr, (b1, b2), eps = 0.01, (0.9, 0.999), 1e-8
+
+        params = [make_param(f"p{i}", v.copy()) for i, v in enumerate(init)]
+        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+        for step_grads in grads:
+            opt.zero_grads()
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step()
+
+        # the per-parameter loop the flat step replaced, as the oracle
+        values = [v.copy() for v in init]
+        m = [np.zeros_like(v) for v in init]
+        v = [np.zeros_like(v) for v in init]
+        for t, step_grads in enumerate(grads, start=1):
+            for i, g in enumerate(step_grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g**2
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                values[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        state = opt.state
+        for i, p in enumerate(params):
+            assert p.value.tobytes() == values[i].tobytes()
+            assert state[p.name]["m"].tobytes() == m[i].tobytes()
+            assert state[p.name]["v"].tobytes() == v[i].tobytes()
+            assert state[p.name]["t"] == len(grads)
 
 
 def test_softmax_gradient_matches_finite_differences():

@@ -237,6 +237,8 @@ class TestRank:
         ("header_only", "no rows"),
         ("nan_feature", "non-finite"),
         ("fractional_category", "out of vocab"),
+        ("no_header", "schema_hash"),
+        ("no_schema_hash", "schema_hash"),
     ])
     def test_malformed_candidates_refused(self, cli_env, tmp_path, capsys, defect, message):
         root, _, data_dir = cli_env
@@ -246,12 +248,16 @@ class TestRank:
             features = features[:0]
         elif defect == "nan_feature":
             features[3, 0] = np.nan
-        else:
+        elif defect == "fractional_category":
             schema = read_schema_file(os.path.join(data_dir, "schema.tsv"))
             features[3, schema.cat_col["content_type"]] = 2.7
         path = tmp_path / "bad.tsv"
         cli.write_candidates_file(str(path), np.arange(features.shape[0]), features,
                                   day["schema_hash"])
+        if defect in ("no_header", "no_schema_hash"):
+            rows = path.read_text().splitlines(keepends=True)[1:]
+            kept = [] if defect == "no_header" else [f"# n_features={features.shape[1]}\n"]
+            path.write_text("".join(kept + rows))
         ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
         assert cli.main(["rank", "--checkpoint", ckpt, "--candidates", str(path),
                          "-k", "3"]) == 2

@@ -64,6 +64,24 @@ class TestBuild:
         for pa, pb in zip(base.groups()["shared_bottom"], prop.groups()["shared_bottom"]):
             assert np.array_equal(pa.value, pb.value)
 
+    def test_parameters_are_views_of_the_optimizer_buffers(self, batch):
+        schema, features, labels, x = batch
+        model = build(schema, variant="Proposed")
+        opt = model.make_optimizer()
+        params = model.parameters()
+        flat = np.concatenate([p.value.ravel() for p in params])
+        assert flat.tobytes() == opt._value.tobytes()  # laid out in params order
+        for p in params:
+            assert np.shares_memory(p.value, opt._value)
+            assert np.shares_memory(p.grad, opt._grad)
+        tape = Tape()
+        objective, _, _ = model.training_objective(
+            tape, features, labels, targets(model, features, labels, x))
+        tape.backward(objective)
+        assert np.any(opt._grad)
+        opt.zero_grads()
+        assert not any(np.any(p.grad) for p in params)
+
     def test_empty_statistical_bucket_rejected(self):
         schema = validate_schema([
             FeatureSpec("user_a", DENSE, ATTRIBUTE),
@@ -150,6 +168,34 @@ class TestGradientProvenance:
                                    targets(model, features, labels, x))
         assert prov["task"]["conformity"] > 1e-12
         assert prov["task"]["relevance"] > 1e-12
+
+    def test_jointloss_audits_the_blended_targets(self, batch):
+        # the audit must check the objective JointLoss trains: causal targets
+        # blended with the anchor task label (squared losses, so the max-abs
+        # gradients depend on the targets and not only on residual signs)
+        schema, features, labels, x = batch
+        model = build(schema, variant="JointLoss", squared_causal_loss=True)
+        causal = targets(model, features, labels, x)
+        lam, anchor = model.config.joint_label_mix, labels[:, 0]
+        flags = model.topic_flags(features)
+        cases = {
+            "conformity_loss": (model._conformity_node, causal.conformity,
+                                (1 - lam) * causal.conformity + lam * anchor),
+            "relevance_loss": (model._relevance_node, causal.per_interest,
+                               (1 - lam) * causal.per_interest + lam * anchor[:, None] * flags),
+        }
+
+        def group_grads(loss_node, target):
+            model.zero_grads()
+            tape = Tape()
+            tape.backward(loss_node(tape, model.forward(tape, features), target))
+            return {g: max(float(np.abs(p.grad).max()) for p in ps)
+                    for g, ps in model.groups().items()}
+
+        prov = gradient_provenance(model, features, labels, causal)
+        for comp, (loss_node, raw, blended) in cases.items():
+            assert prov[comp] == group_grads(loss_node, blended)
+            assert prov[comp] != group_grads(loss_node, raw)
 
     def test_check_decoupling_passes_all_variants(self, batch):
         schema, features, labels, x = batch
