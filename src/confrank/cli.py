@@ -50,13 +50,13 @@ def _dataset_days(dataset_dir) -> tuple:
     """Verify the manifest and load all day files in order."""
     try:
         manifest = S.load_manifest(dataset_dir)
+        names = sorted(n for n in manifest["files"] if n.startswith("day_"))
+        days = [S.read_day_file(os.path.join(dataset_dir, n)) for n in names]
     except S.CheckpointError as e:
         raise CliError(f"dataset refused: {e}", EXIT_VALIDATION)
     schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
     if schema.hash != manifest["schema_hash"]:
         raise CliError("schema file does not match manifest", EXIT_VALIDATION)
-    names = sorted(n for n in manifest["files"] if n.startswith("day_"))
-    days = [S.read_day_file(os.path.join(dataset_dir, n)) for n in names]
     return manifest, schema, days
 
 
@@ -285,6 +285,8 @@ def write_candidates_file(path, item_ids, features, schema_hash):
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.metrics):
+        raise CliError(f"metrics directory {args.metrics} does not exist", EXIT_VALIDATION)
     files = sorted(f for f in os.listdir(args.metrics)
                    if f.startswith("metrics_") and f.endswith(".json"))
     if not files:

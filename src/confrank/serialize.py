@@ -1,8 +1,11 @@
-"""Checksummed containers: checkpoints, day-partitioned dataset files, manifests.
+"""Checksummed containers: checkpoints, dataset day files, world.json, manifests.
 
-Checkpoints are JSON with float64 arrays base64-packed little-endian, so
-round-trips are bit-exact. Every container carries a sha256 over its payload
-and refuses to load if a byte was tampered with.
+Every file is one JSON container whose float64/int64 arrays are
+base64-packed little-endian, so round-trips are bit-exact and a fixed input
+writes the same bytes every time. Every container carries a sha256 over its
+payload and refuses to load if a byte was tampered with; the manifest also
+lists each dataset file's sha256. A day file holds one `day_data_from_log`
+record.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .datagen import World
 
 CHECKPOINT_FORMAT = "confrank-checkpoint"
 WORLD_FORMAT = "confrank-world"
+DAY_FORMAT = "confrank-day"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -85,48 +89,34 @@ def file_sha256(path) -> str:
 
 
 def day_filename(day: int) -> str:
-    return f"day_{day:03d}.tsv"
+    return f"day_{day:03d}.json"
+
+
+def day_data_from_log(log, schema_hash: str) -> dict:
+    """The day record: a DayLog's arrays under the names training reads, plus
+    its day number and schema hash. A day file stores exactly this dict."""
+    return {
+        "schema_hash": schema_hash,
+        "day": log.day,
+        "user_ids": log.user_ids,
+        "item_ids": log.item_ids,
+        "features": log.features,
+        "x": log.x_scalar,
+        "labels": log.labels,
+        "conformity_component": log.conformity_component,
+        "relevance_component": log.relevance_component,
+    }
 
 
 def write_day_file(path, log, schema_hash: str):
-    """One event per line: day, user, item, features (schema order), X,
-    labels, then the logged generative conformity/relevance terms."""
-    n_feat = log.features.shape[1]
-    n_tasks = log.labels.shape[1]
-    with open(path, "w") as fh:
-        fh.write(f"# schema_hash={schema_hash}\tn_features={n_feat}\tn_tasks={n_tasks}\n")
-        for i in range(log.n_events):
-            row = [str(log.day), str(log.user_ids[i]), str(log.item_ids[i])]
-            row += [f"{v:.17g}" for v in log.features[i]]
-            row.append(f"{log.x_scalar[i]:.17g}")
-            row += [str(v) for v in log.labels[i]]
-            row.append(f"{log.conformity_component[i]:.17g}")
-            row.append(f"{log.relevance_component[i]:.17g}")
-            fh.write("\t".join(row) + "\n")
+    record = day_data_from_log(log, schema_hash)
+    save_container(path, {k: pack_array(v) if isinstance(v, np.ndarray) else v
+                          for k, v in record.items()}, fmt=DAY_FORMAT)
 
 
 def read_day_file(path) -> dict:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        meta = dict(kv.split("=") for kv in header.lstrip("# ").split("\t"))
-        n_feat, n_tasks = int(meta["n_features"]), int(meta["n_tasks"])
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    if rows:
-        mat = np.array(rows, dtype=np.float64)
-    else:
-        mat = np.zeros((0, 3 + n_feat + 1 + n_tasks + 2))
-    f0 = 3
-    return {
-        "schema_hash": meta["schema_hash"],
-        "day": int(mat[0, 0]) if len(rows) else None,
-        "user_ids": mat[:, 1].astype(np.int64),
-        "item_ids": mat[:, 2].astype(np.int64),
-        "features": mat[:, f0 : f0 + n_feat],
-        "x": mat[:, f0 + n_feat],
-        "labels": mat[:, f0 + n_feat + 1 : f0 + n_feat + 1 + n_tasks].astype(np.int64),
-        "conformity_component": mat[:, -2],
-        "relevance_component": mat[:, -1],
-    }
+    payload = load_container(path, fmt=DAY_FORMAT)
+    return {k: unpack_array(v) if isinstance(v, dict) else v for k, v in payload.items()}
 
 
 def write_manifest(out_dir, config_hash: str, schema_hash: str, filenames):

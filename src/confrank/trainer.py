@@ -22,23 +22,11 @@ from .model import Cam2Model, check_decoupling
 from .schema import FeatureSpec, Schema, validate_schema
 
 
+day_data_from_log = S.day_data_from_log  # the day record is defined next to its file format
+
+
 class SequencingError(ValueError):
     """Days must be trained strictly in order, each exactly once."""
-
-
-def day_data_from_log(log, schema_hash: str) -> dict:
-    """In-memory equivalent of serialize.read_day_file for a DayLog."""
-    return {
-        "schema_hash": schema_hash,
-        "day": log.day,
-        "user_ids": log.user_ids,
-        "item_ids": log.item_ids,
-        "features": log.features,
-        "x": log.x_scalar,
-        "labels": log.labels,
-        "conformity_component": log.conformity_component,
-        "relevance_component": log.relevance_component,
-    }
 
 
 @dataclass
@@ -79,7 +67,7 @@ def _causal_targets(model: Cam2Model, day_data: dict):
 def train_day(state: TrainState, day_data: dict) -> L.LossReport:
     """One seeded-shuffle epoch over a day's events; mutates state in place."""
     day = day_data["day"]
-    if day is not None and day != state.last_day + 1:
+    if day != state.last_day + 1:
         raise SequencingError(
             f"got day {day} but last completed day is {state.last_day}")
     n = day_data["features"].shape[0]
@@ -137,7 +125,7 @@ def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
     loop of resume_experiment.
 
     Returns (final TrainState, list of MetricsRow). `days` is a list of
-    day-data dicts (see serialize.read_day_file) in chronological order.
+    day records (see serialize.day_data_from_log) in chronological order.
     """
     if len(days) < 2:
         raise SequencingError("need at least one train day and one holdout day")
@@ -207,7 +195,7 @@ def resume_experiment(state: TrainState, days: list):
     run continues over the remaining days."""
     rows = []
     for d in range(len(days) - 1):
-        if days[d]["day"] is not None and days[d]["day"] <= state.last_day:
+        if days[d]["day"] <= state.last_day:
             continue
         report = train_day(state, days[d])
         ne, agg = evaluate_ne(state.model, days[d + 1])

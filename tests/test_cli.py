@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -41,6 +43,18 @@ def cli_env(tmp_path_factory):
     return root, str(cfg_path), str(data_dir)
 
 
+@pytest.fixture(scope="session")
+def trained_run(cli_env):
+    """One `confrank train` of the tiny config (Proposed, seed 3): (out dir, stdout)."""
+    root, cfg_path, data_dir = cli_env
+    out = root / "run_proposed"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["train", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(out)]) == 0
+    return out, stdout.getvalue()
+
+
 class TestGenData:
     def test_expected_files(self, cli_env):
         _, _, data_dir = cli_env
@@ -71,12 +85,8 @@ class TestGenData:
 
 
 class TestTrain:
-    def test_train_writes_checkpoint_and_metrics(self, cli_env, capsys):
-        root, cfg_path, data_dir = cli_env
-        out = root / "run_proposed"
-        assert cli.main(["train", "--config", cfg_path, "--dataset", data_dir,
-                         "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
+    def test_train_writes_checkpoint_and_metrics(self, trained_run):
+        out, stdout = trained_run
         assert "holdout_NE" in stdout and "L_C=" in stdout
         assert (out / "checkpoint_Proposed_3.json").exists()
         metrics = json.loads((out / "metrics_Proposed_3.json").read_text())
@@ -115,8 +125,33 @@ class TestTrain:
                          "--out", str(tmp_path / "o")]) == 2
         assert "refused" in capsys.readouterr().err
 
-    def test_resume_matches_straight_run(self, cli_env, tmp_path, capsys):
-        root, cfg_path, data_dir = cli_env
+    def test_text_day_file_refused(self, cli_env, tmp_path, capsys):
+        """A day file in the old tab-separated text format, listed in a manifest
+        that matches it, is refused as a dataset, naming the file."""
+        _, cfg_path, data_dir = cli_env
+        import shutil
+        old = tmp_path / "text_days"
+        shutil.copytree(data_dir, old)
+        day = S.read_day_file(os.path.join(data_dir, S.day_filename(1)))
+        lines = [f"# schema_hash={day['schema_hash']}\tn_features={day['features'].shape[1]}"
+                 f"\tn_tasks={day['labels'].shape[1]}"]
+        for i in range(day["x"].shape[0]):
+            row = [day["day"], day["user_ids"][i], day["item_ids"][i], *day["features"][i],
+                   day["x"][i], *day["labels"][i], day["conformity_component"][i],
+                   day["relevance_component"][i]]
+            lines.append("\t".join(f"{v:.17g}" for v in row))
+        name = S.day_filename(1)
+        (old / name).write_text("\n".join(lines) + "\n")
+        manifest = S.load_manifest(data_dir)
+        S.write_manifest(str(old), manifest["config_hash"], manifest["schema_hash"],
+                         list(manifest["files"]))
+        assert cli.main(["train", "--config", cfg_path, "--dataset", str(old),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "dataset refused" in err and name in err
+
+    def test_resume_matches_straight_run(self, cli_env, trained_run, tmp_path, capsys):
+        _, cfg_path, data_dir = cli_env
         # a 2-day view of the same dataset: same files, manifest rewritten
         import shutil
         short = tmp_path / "data_short"
@@ -138,7 +173,7 @@ class TestTrain:
         capsys.readouterr()
 
         straight = S.load_container(
-            str(root / "run_proposed" / "checkpoint_Proposed_3.json"),
+            str(trained_run[0] / "checkpoint_Proposed_3.json"),
             fmt="confrank-checkpoint")
         warm = S.load_container(str(resumed / "checkpoint_Proposed_3.json"),
                                 fmt="confrank-checkpoint")
@@ -192,6 +227,10 @@ class TestAblate:
 
 class TestRank:
     @pytest.fixture()
+    def ckpt(self, trained_run):
+        return str(trained_run[0] / "checkpoint_Proposed_3.json")
+
+    @pytest.fixture()
     def candidates(self, cli_env, tmp_path):
         _, _, data_dir = cli_env
         day = S.read_day_file(os.path.join(data_dir, S.day_filename(1)))
@@ -202,9 +241,7 @@ class TestRank:
                                   manifest["schema_hash"])
         return str(path)
 
-    def test_rank_orders_descending(self, cli_env, candidates, capsys):
-        root, _, _ = cli_env
-        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
+    def test_rank_orders_descending(self, ckpt, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", ckpt,
                          "--candidates", candidates, "-k", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -212,24 +249,18 @@ class TestRank:
         scores = [float(line.split("\t")[1]) for line in lines]
         assert scores == sorted(scores, reverse=True)
 
-    def test_k_larger_than_pool(self, cli_env, candidates, capsys):
-        root, _, _ = cli_env
-        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
+    def test_k_larger_than_pool(self, ckpt, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", ckpt,
                          "--candidates", candidates, "-k", "500"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 20
 
-    def test_rank_deterministic(self, cli_env, candidates, capsys):
-        root, _, _ = cli_env
-        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
+    def test_rank_deterministic(self, ckpt, candidates, capsys):
         cli.main(["rank", "--checkpoint", ckpt, "--candidates", candidates])
         first = capsys.readouterr().out
         cli.main(["rank", "--checkpoint", ckpt, "--candidates", candidates])
         assert capsys.readouterr().out == first
 
-    def test_bad_k(self, cli_env, candidates, capsys):
-        root, _, _ = cli_env
-        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
+    def test_bad_k(self, ckpt, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", ckpt,
                          "--candidates", candidates, "-k", "0"]) == 1
 
@@ -240,8 +271,9 @@ class TestRank:
         ("no_header", "schema_hash"),
         ("no_schema_hash", "schema_hash"),
     ])
-    def test_malformed_candidates_refused(self, cli_env, tmp_path, capsys, defect, message):
-        root, _, data_dir = cli_env
+    def test_malformed_candidates_refused(self, cli_env, ckpt, tmp_path, capsys, defect,
+                                          message):
+        _, _, data_dir = cli_env
         day = S.read_day_file(os.path.join(data_dir, S.day_filename(1)))
         features = day["features"][:20].copy()
         if defect == "header_only":
@@ -258,7 +290,6 @@ class TestRank:
             rows = path.read_text().splitlines(keepends=True)[1:]
             kept = [] if defect == "no_header" else [f"# n_features={features.shape[1]}\n"]
             path.write_text("".join(kept + rows))
-        ckpt = str(root / "run_proposed" / "checkpoint_Proposed_3.json")
         assert cli.main(["rank", "--checkpoint", ckpt, "--candidates", str(path),
                          "-k", "3"]) == 2
         captured = capsys.readouterr()
@@ -270,21 +301,25 @@ class TestRank:
 
 
 class TestReport:
-    def test_report_tables(self, cli_env, capsys):
-        root, _, _ = cli_env
-        out = str(root / "run_proposed")
-        assert cli.main(["report", "--metrics", out]) == 0
+    def test_report_tables(self, trained_run, capsys):
+        out = trained_run[0]
+        assert cli.main(["report", "--metrics", str(out)]) == 0
         stdout = capsys.readouterr().out
         for label in ("[0-1 day)", "[1-3 days)", "[3-10 days)", "[10+ days)"):
             assert label in stdout
         assert "Proposed" in stdout and "casual" in stdout
-        assert (root / "run_proposed" / "report.txt").read_text().strip() in stdout
-        summary = json.loads((root / "run_proposed" / "report.json").read_text())
+        assert (out / "report.txt").read_text().strip() in stdout
+        summary = json.loads((out / "report.json").read_text())
         assert "Proposed" in summary["ne"]
 
     def test_empty_metrics_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
         assert "no metrics" in capsys.readouterr().err
+
+    def test_missing_metrics_dir(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere")
+        assert cli.main(["report", "--metrics", missing]) == 2
+        assert missing in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

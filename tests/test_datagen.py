@@ -137,7 +137,7 @@ class TestSimulateDays:
         for run in range(2):
             world = D.generate_world(cfg)
             log = next(iter(D.simulate_days(world, schema)))
-            path = tmp_path / f"day_{run}.tsv"
+            path = tmp_path / f"day_{run}.json"
             write_day_file(path, log, schema.hash)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]

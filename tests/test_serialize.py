@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from confrank import serialize as S
+from confrank.datagen import DayLog
 
 
 @given(hnp.arrays(dtype=np.float64,
@@ -51,5 +54,26 @@ def test_container_detects_payload_tamper(tmp_path):
 
 
 def test_day_filename_zero_padded():
-    assert S.day_filename(0) == "day_000.tsv"
-    assert S.day_filename(27) == "day_027.tsv"
+    assert S.day_filename(0) == "day_000.json"
+    assert S.day_filename(27) == "day_027.json"
+
+
+@pytest.mark.parametrize("n_events", [None, 0], ids=["tiny_day", "zero_events"])
+def test_day_file_round_trip_bitwise(tiny_dataset, tmp_path, n_events):
+    _, _, schema, logs, _ = tiny_dataset
+    log = logs[1]
+    if n_events is not None:
+        log = DayLog(log.day, *(getattr(log, f.name)[:n_events]
+                                for f in dataclasses.fields(DayLog)[1:]))
+    path = str(tmp_path / S.day_filename(log.day))
+    S.write_day_file(path, log, schema.hash)
+    back = S.read_day_file(path)
+    expected = S.day_data_from_log(log, schema.hash)
+    assert back.keys() == expected.keys()
+    for name, want in expected.items():
+        got = back[name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:  # the day number and schema hash
+            assert got == want, name
