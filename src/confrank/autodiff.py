@@ -8,6 +8,17 @@ reductions, concatenation and a stop-gradient barrier.
 
 Everything is float64. Tapes are single-use: build one per forward pass.
 
+Needs-grad rule: a node needs a gradient when a parameter can receive one
+through it. Constants and stop-gradient outputs do not; on a recording tape
+the outputs of ``leaf``, ``dense`` and ``embedding`` do, and any other op's
+output does when one of its inputs does. An op whose output needs no
+gradient records no backward function, and a backward function computes no
+gradient for an input that needs none. A gradless tape, ``Tape(grad=False)``,
+is for inference: its parameter-backed outputs need no gradient either, so
+it records nothing and a forward pass on it keeps no activation alive past
+its last use. Backward functions do not capture their tape, so a tape is
+never part of a reference cycle.
+
 Buffer ownership: an ``Adam`` optimizer holds every parameter's value,
 gradient and both moments in one contiguous buffer each, in ``params``
 order; ``Parameter.value`` and ``Parameter.grad`` are views into those
@@ -38,13 +49,17 @@ def _as_f64(x) -> np.ndarray:
 
 
 class Node:
-    """A value produced on a tape. Holds data and (during backward) a grad."""
+    """A value produced on a tape. Holds data and (during backward) a grad.
 
-    __slots__ = ("data", "grad")
+    ``needs_grad`` says whether a parameter can receive gradient through it.
+    """
 
-    def __init__(self, data):
+    __slots__ = ("data", "grad", "needs_grad")
+
+    def __init__(self, data, needs_grad: bool = False):
         self.data = _as_f64(data)
         self.grad = None
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
@@ -129,10 +144,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tape:
-    """Ordered op record; backward() replays it in strict reverse order."""
+def _accum(node: Node, g: np.ndarray):
+    node.grad = g if node.grad is None else node.grad + g
 
-    def __init__(self):
+
+class Tape:
+    """Ordered op record; backward() replays it in strict reverse order.
+
+    ``Tape(grad=False)`` records nothing (see the module docstring).
+    """
+
+    def __init__(self, grad: bool = True):
+        self.recording = grad
         self._ops = []  # (output Node, backward fn taking output grad)
 
     # -- leaves ---------------------------------------------------------
@@ -141,103 +164,106 @@ class Tape:
         return Node(data)
 
     def leaf(self, param: Parameter) -> Node:
-        node = Node(param.value)
+        node = Node(param.value, self.recording)
+        if node.needs_grad:
+            def back(g):
+                param._grad += g
 
-        def back(g):
-            param._grad += g
-
-        self._ops.append((node, back))
+            self._ops.append((node, back))
         return node
 
     # -- elementwise ----------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        out = Node(a.data + b.data)
+        out = Node(a.data + b.data, a.needs_grad or b.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                if a.needs_grad:
+                    _accum(a, _unbroadcast(g, a.data.shape))
+                if b.needs_grad:
+                    _accum(b, _unbroadcast(g, b.data.shape))
 
-        def back(g):
-            self._accum(a, _unbroadcast(g, a.data.shape))
-            self._accum(b, _unbroadcast(g, b.data.shape))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def sub(self, a: Node, b: Node) -> Node:
-        out = Node(a.data - b.data)
+        out = Node(a.data - b.data, a.needs_grad or b.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                if a.needs_grad:
+                    _accum(a, _unbroadcast(g, a.data.shape))
+                if b.needs_grad:
+                    _accum(b, _unbroadcast(-g, b.data.shape))
 
-        def back(g):
-            self._accum(a, _unbroadcast(g, a.data.shape))
-            self._accum(b, _unbroadcast(-g, b.data.shape))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def mul(self, a: Node, b: Node) -> Node:
-        out = Node(a.data * b.data)
+        out = Node(a.data * b.data, a.needs_grad or b.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                if a.needs_grad:
+                    _accum(a, _unbroadcast(g * b.data, a.data.shape))
+                if b.needs_grad:
+                    _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-        def back(g):
-            self._accum(a, _unbroadcast(g * b.data, a.data.shape))
-            self._accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def scale(self, a: Node, c: float) -> Node:
-        out = Node(a.data * c)
+        out = Node(a.data * c, a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g * c)
 
-        def back(g):
-            self._accum(a, g * c)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def relu(self, a: Node) -> Node:
-        out = Node(np.maximum(a.data, 0.0))
-        mask = (a.data > 0.0).astype(np.float64)
+        out = Node(np.maximum(a.data, 0.0), a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g * (a.data > 0.0))
 
-        def back(g):
-            self._accum(a, g * mask)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def sigmoid(self, a: Node) -> Node:
         s = 1.0 / (1.0 + np.exp(-a.data))
-        out = Node(s)
+        out = Node(s, a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g * s * (1.0 - s))
 
-        def back(g):
-            self._accum(a, g * s * (1.0 - s))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def log(self, a: Node) -> Node:
-        out = Node(np.log(a.data))
+        out = Node(np.log(a.data), a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g / a.data)
 
-        def back(g):
-            self._accum(a, g / a.data)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def abs(self, a: Node) -> Node:
-        out = Node(np.abs(a.data))
-        sign = np.sign(a.data)
+        out = Node(np.abs(a.data), a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g * np.sign(a.data))
 
-        def back(g):
-            self._accum(a, g * sign)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def clip(self, a: Node, lo: float, hi: float) -> Node:
         """Clamp values; gradient passes through only where unclipped."""
-        out = Node(np.clip(a.data, lo, hi))
-        mask = ((a.data > lo) & (a.data < hi)).astype(np.float64)
+        out = Node(np.clip(a.data, lo, hi), a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, g * ((a.data > lo) & (a.data < hi)))
 
-        def back(g):
-            self._accum(a, g * mask)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def softmax(self, a: Node) -> Node:
@@ -245,35 +271,35 @@ class Tape:
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         s = e / e.sum(axis=-1, keepdims=True)
-        out = Node(s)
+        out = Node(s, a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                dot = (g * s).sum(axis=-1, keepdims=True)
+                _accum(a, s * (g - dot))
 
-        def back(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            self._accum(a, s * (g - dot))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     # -- reductions -----------------------------------------------------
 
     def sum(self, a: Node, axis=None) -> Node:
-        out = Node(a.data.sum(axis=axis))
+        out = Node(a.data.sum(axis=axis), a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, _spread(g, axis, a.data))
 
-        def back(g):
-            self._accum(a, _spread(g, axis, a.data))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def mean(self, a: Node, axis=None) -> Node:
         """sum * (1/n), not ndarray.mean, so the bits match a scaled sum."""
         c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
-        out = Node(a.data.sum(axis=axis) * c)
+        out = Node(a.data.sum(axis=axis) * c, a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                _accum(a, _spread(g * c, axis, a.data))
 
-        def back(g):
-            self._accum(a, _spread(g * c, axis, a.data))
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     # -- linear algebra -------------------------------------------------
@@ -283,17 +309,19 @@ class Tape:
             raise ShapeMismatchError(
                 f"matmul shapes do not conform: {a.data.shape} @ {b.data.shape}"
             )
-        out = Node(a.data @ b.data)
+        out = Node(a.data @ b.data, a.needs_grad or b.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                if a.needs_grad:
+                    _accum(a, g @ b.data.T)
+                if b.needs_grad:
+                    _accum(b, a.data.T @ g)
 
-        def back(g):
-            self._accum(a, g @ b.data.T)
-            self._accum(b, a.data.T @ g)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
-    def dense(self, x: Node, weights: Parameter, bias: Parameter) -> Node:
-        """x @ W + b with [batch, in] x [in, out] + [out]."""
+    def dense(self, x: Node, weights: Parameter, bias: Parameter, relu: bool = False) -> Node:
+        """x @ W + b with [batch, in] x [in, out] + [out], then max(., 0) if relu."""
         if x.data.ndim != 2 or x.data.shape[1] != weights.shape[0]:
             raise ShapeMismatchError(
                 f"dense input {x.data.shape} does not match weights {weights.shape}"
@@ -303,38 +331,45 @@ class Tape:
                 f"dense bias {bias.shape} does not match weights {weights.shape}"
             )
         w = weights.value
-        out = Node(x.data @ w + bias.value)
+        y = x.data @ w + bias.value
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        out = Node(y, self.recording)
+        if out.needs_grad:
+            def back(g):
+                if relu:
+                    g = g * (out.data > 0.0)
+                weights._grad += x.data.T @ g
+                bias._grad += g.sum(axis=0)
+                if x.needs_grad:
+                    _accum(x, g @ w.T)
 
-        def back(g):
-            weights._grad += x.data.T @ g
-            bias._grad += g.sum(axis=0)
-            self._accum(x, g @ w.T)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def concat(self, nodes: list, axis: int = 1) -> Node:
         datas = [n.data for n in nodes]
-        out = Node(np.concatenate(datas, axis=axis))
-        sizes = [d.shape[axis] for d in datas]
-        splits = np.cumsum(sizes)[:-1]
+        out = Node(np.concatenate(datas, axis=axis), any([n.needs_grad for n in nodes]))
+        if out.needs_grad:
+            splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
-        def back(g):
-            for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
-                self._accum(node, piece)
+            def back(g):
+                for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+                    if node.needs_grad:
+                        _accum(node, piece)
 
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     def slice_cols(self, a: Node, start: int, stop: int) -> Node:
-        out = Node(a.data[:, start:stop])
+        out = Node(a.data[:, start:stop], a.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                full = np.zeros_like(a.data)
+                full[:, start:stop] = g
+                _accum(a, full)
 
-        def back(g):
-            full = np.zeros_like(a.data)
-            full[:, start:stop] = g
-            self._accum(a, full)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     # -- embeddings -----------------------------------------------------
@@ -347,12 +382,12 @@ class Tape:
                 f"index {bad} out of range for vocab of {table.vocab_size}"
             )
         param = table.rows
-        out = Node(param.value[idx])
+        out = Node(param.value[idx], self.recording)
+        if out.needs_grad:
+            def back(g):
+                np.add.at(param._grad, idx, g)
 
-        def back(g):
-            np.add.at(param._grad, idx, g)
-
-        self._ops.append((out, back))
+            self._ops.append((out, back))
         return out
 
     # -- control --------------------------------------------------------
@@ -368,20 +403,6 @@ class Tape:
         for out, back in reversed(self._ops):
             if out.grad is not None:
                 back(out.grad)
-
-    def dispose(self):
-        """Drop the op record so the tape is freed by plain refcounting.
-
-        Backward closures capture the tape, so every tape is a reference
-        cycle that only the cyclic GC can reclaim. Callers that build many
-        short-lived tapes (chunked prediction over large candidate sets)
-        call this to release the recorded arrays immediately.
-        """
-        self._ops.clear()
-
-    @staticmethod
-    def _accum(node: Node, g: np.ndarray):
-        node.grad = g if node.grad is None else node.grad + g
 
 
 class Adam:

@@ -183,7 +183,7 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
 
     out = {}
     for name, model in models.items():
-        # chunked scoring keeps the forward tape's memory bounded
+        # chunked scoring bounds the forward pass's activation memory
         chunk = 16384
         preds = np.concatenate([model.predict(features[lo : lo + chunk])
                                 for lo in range(0, features.shape[0], chunk)])

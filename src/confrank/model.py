@@ -53,7 +53,11 @@ class VariantError(ValueError):
 
 @dataclass
 class ModelOutputs:
-    """One forward pass: task probabilities plus causal-module readouts."""
+    """One forward pass: task probabilities plus causal-module readouts.
+
+    A forward on a gradless tape leaves the four readouts the losses need
+    (u_hat, i_hat, u_x, i_x) at None.
+    """
 
     task_probs: list  # T nodes of shape [n]
     u_hat: Node | None = None  # [n] user-conformity prediction
@@ -62,7 +66,6 @@ class ModelOutputs:
     i_x: Node | None = None  # [n, k] per-topic item membership
     e_conf: Node | None = None  # [n, d_e]
     e_rel: Node | None = None  # [n, d_e]
-    mixture_prob: Node | None = None  # [n] diagnostic Pr(t) mixture
 
 
 class _Builder:
@@ -87,13 +90,16 @@ class _Builder:
 
 
 class _Mlp:
-    """Dense stack with relu between layers; final layer is linear.
+    """Dense stack with relu between layers; final layer is linear unless
+    relu_last.
 
     extra_final widens the final layer's fan-in for inputs concatenated
     right before it (inject_at "last").
     """
 
-    def __init__(self, b: _Builder, name: str, in_width: int, widths, extra_final: int = 0):
+    def __init__(self, b: _Builder, name: str, in_width: int, widths, extra_final: int = 0,
+                 relu_last: bool = False):
+        self.relu_last = relu_last
         self.layers = []
         prev = in_width
         for i, w in enumerate(widths):
@@ -109,9 +115,7 @@ class _Mlp:
             last = i == len(self.layers) - 1
             if last and stop_before_last is not None:
                 x = tape.concat([x, stop_before_last], axis=1)
-            x = tape.dense(x, w, bias)
-            if not last:
-                x = tape.relu(x)
+            x = tape.dense(x, w, bias, relu=self.relu_last or not last)
         return x
 
 
@@ -126,15 +130,18 @@ class _ResidualTower:
         ]
 
     def __call__(self, tape: Tape, x: Node) -> Node:
-        h = tape.relu(tape.dense(x, *self.proj))
+        h = tape.dense(x, *self.proj, relu=True)
         for (w1, b1), (w2, b2) in self.blocks:
-            inner = tape.dense(tape.relu(tape.dense(h, w1, b1)), w2, b2)
+            inner = tape.dense(tape.dense(h, w1, b1, relu=True), w2, b2)
             h = tape.add(h, inner)
         return h
 
 
 class _CausalModule:
-    """Two residual towers plus prediction heads and an embedding projection."""
+    """Two residual towers plus prediction heads and an embedding projection.
+
+    Only the losses read the heads, so a gradless tape skips them (None).
+    """
 
     def __init__(self, b: _Builder, name: str, user_width: int, item_width: int,
                  tower_width: int, blocks: int, head_out: int, d_e: int):
@@ -147,8 +154,10 @@ class _CausalModule:
     def __call__(self, tape: Tape, user_in: Node, item_in: Node):
         up = self.user_tower(tape, user_in)
         ip = self.item_tower(tape, item_in)
-        u_head = tape.sigmoid(tape.dense(up, *self.user_head))
-        i_head = tape.sigmoid(tape.dense(ip, *self.item_head))
+        u_head = i_head = None
+        if tape.recording:
+            u_head = tape.sigmoid(tape.dense(up, *self.user_head))
+            i_head = tape.sigmoid(tape.dense(ip, *self.item_head))
         embed = tape.dense(tape.concat([up, ip], axis=1), *self.proj)
         return u_head, i_head, embed
 
@@ -177,7 +186,7 @@ class Cam2Model:
             s.name: sb.embedding(s.name, s.vocab_size, cfg.embed_dim) for s in self._sb_cats
         }
         sb_in = len(self._sb_dense_cols) + cfg.embed_dim * len(self._sb_cats)
-        self.shared_bottom = _Mlp(sb, "mlp", sb_in, cfg.shared_widths)
+        self.shared_bottom = _Mlp(sb, "mlp", sb_in, cfg.shared_widths, relu_last=True)
         self._groups["shared_bottom"] = sb.params
 
         if spec.causal:
@@ -283,7 +292,7 @@ class Cam2Model:
 
         sb_cat_tables = [(s, self._sb_embeds[s.name]) for s in self._sb_cats]
         sb_in = self._gather_input(tape, features, self._sb_dense_cols, sb_cat_tables)
-        shared_out = tape.relu(self.shared_bottom(tape, sb_in))
+        shared_out = self.shared_bottom(tape, sb_in)
 
         out = ModelOutputs(task_probs=[])
         spec = self.spec
@@ -296,8 +305,9 @@ class Cam2Model:
                 tape,
                 self._gather_input(tape, features, *self._rel_inputs["user"]),
                 self._gather_input(tape, features, *self._rel_inputs["item"]))
-            out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
-            out.u_x, out.i_x = u_x, i_x
+            if tape.recording:
+                out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
+                out.u_x, out.i_x = u_x, i_x
             out.e_conf, out.e_rel = e_conf, e_rel
             if spec.stop_grad:
                 e_conf, e_rel = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
@@ -311,19 +321,16 @@ class Cam2Model:
             else:
                 logit = head(tape, tape.concat([shared_out, e_conf, e_rel], axis=1))
             out.task_probs.append(self._squeeze_prob(tape, logit))
-
-        if spec.causal:
-            out.mixture_prob = self._mixture(tape, out, self.topic_flags(features))
         return out
 
     def _squeeze_prob(self, tape: Tape, logit: Node) -> Node:
         p = tape.clip(tape.sigmoid(logit), L.PROB_CLIP, 1.0 - L.PROB_CLIP)
         return tape.sum(p, axis=1)  # [n, 1] -> [n]
 
-    def _mixture(self, tape: Tape, out: ModelOutputs, topic_flags: np.ndarray) -> Node:
+    def _mixture(self, tape: Tape, out: ModelOutputs, features: np.ndarray) -> Node:
         """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel); only the two
         mixture logits receive gradient from its loss."""
-        topics = tape.constant(topic_flags)
+        topics = tape.constant(self.topic_flags(features))
         p_conf = tape.clip(tape.abs(tape.add(tape.stop_gradient(out.u_hat),
                                              tape.stop_gradient(out.i_hat))),
                            L.PROB_CLIP, 1.0 - L.PROB_CLIP)
@@ -374,7 +381,7 @@ class Cam2Model:
             if cfg.relevance_weight:
                 pieces.append(tape.scale(lr_node, cfg.relevance_weight))
             if cfg.mixture_weight:
-                mix = self._bce_node(tape, outs.mixture_prob, labels[:, 0])
+                mix = self._bce_node(tape, self._mixture(tape, outs, features), labels[:, 0])
                 pieces.append(tape.scale(mix, cfg.mixture_weight))
 
         objective = pieces[0]
@@ -426,21 +433,15 @@ class Cam2Model:
     # -- diagnostics ----------------------------------------------------
 
     def predict(self, features: np.ndarray, schema_hash: str | None = None) -> np.ndarray:
-        """[n, T] task probabilities with no gradient bookkeeping kept."""
-        tape = Tape()
-        outs = self.forward(tape, features, schema_hash)
-        probs = np.column_stack([p.data for p in outs.task_probs])
-        tape.dispose()
-        return probs
+        """[n, T] task probabilities from a forward on a gradless tape."""
+        outs = self.forward(Tape(grad=False), features, schema_hash)
+        return np.column_stack([p.data for p in outs.task_probs])
 
     def causal_embeddings(self, features: np.ndarray):
         if not self.spec.causal:
             raise VariantError(f"{self.config.variant} has no causal embeddings")
-        tape = Tape()
-        outs = self.forward(tape, features)
-        e_conf, e_rel = outs.e_conf.data.copy(), outs.e_rel.data.copy()
-        tape.dispose()
-        return e_conf, e_rel
+        outs = self.forward(Tape(grad=False), features)
+        return outs.e_conf.data, outs.e_rel.data
 
 
 def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
@@ -471,7 +472,7 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
         elif comp == "relevance_loss":
             node = model._relevance_node(tape, outs, r_bar)
         else:
-            node = model._bce_node(tape, outs.mixture_prob, labels[:, 0])
+            node = model._bce_node(tape, model._mixture(tape, outs, features), labels[:, 0])
         tape.backward(node)
         report[comp] = {
             g: max((float(np.abs(p.grad).max()) for p in ps), default=0.0)

@@ -125,17 +125,6 @@ class Schema:
         return rows
 
 
-@dataclass
-class PartitionedFeatures:
-    """One raw feature row split into the two causal buckets."""
-
-    statistical_dense: list
-    statistical_cats: list  # (name, index) pairs
-    attribute_dense: list
-    attribute_cats: list
-    raw_order: list  # feature names in schema order, for audit / round-trip
-
-
 def validate_schema(specs) -> Schema:
     seen = set()
     for s in specs:
@@ -144,32 +133,6 @@ def validate_schema(specs) -> Schema:
             raise SchemaError(f"duplicate feature name {s.name!r}")
         seen.add(s.name)
     return Schema(list(specs))
-
-
-def partition(raw, schema: Schema) -> PartitionedFeatures:
-    """Route one raw feature row into its declared buckets, order preserved."""
-    row = schema.check_rows([raw])[0]
-
-    def dense(bucket):
-        return row[schema.dense_for(bucket)].tolist()
-
-    def cats(bucket):
-        return [(s.name, int(row[schema.cat_col[s.name]])) for s in schema.cats_for(bucket)]
-
-    return PartitionedFeatures(dense(STATISTICAL), cats(STATISTICAL), dense(ATTRIBUTE),
-                               cats(ATTRIBUTE), [s.name for s in schema.specs])
-
-
-def merge(parts: PartitionedFeatures, schema: Schema) -> list:
-    """Inverse of partition: rebuild the raw row in schema order."""
-    raw = [None] * schema.arity()
-    for bucket, dense, cats in ((STATISTICAL, parts.statistical_dense, parts.statistical_cats),
-                                (ATTRIBUTE, parts.attribute_dense, parts.attribute_cats)):
-        for col, v in zip(schema.dense_for(bucket), dense):
-            raw[col] = v
-        for name, idx in cats:
-            raw[schema.cat_col[name]] = idx
-    return raw
 
 
 def default_schema(k_topics: int = DEFAULT_TOPICS, n_age_buckets: int = 6,

@@ -71,6 +71,32 @@ class TestDense:
         assert np.allclose(b.grad, finite_difference_grad(at_bias, b0.copy()), atol=1e-8)
         assert np.allclose(xp.grad, finite_difference_grad(at_input, x0.copy()), atol=1e-8)
 
+    def test_fused_relu_matches_relu_of_dense_and_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)
+
+        def loss(tape, x, w, b):
+            return tape.sum(tape.sigmoid(tape.dense(x, w, b, relu=True)))
+
+        def at(xv, wv, bv):
+            t = Tape()
+            return float(loss(t, Node(xv), make_param("w", wv), make_param("b", bv)).data)
+
+        tape = Tape()
+        xp, w, b = make_param("x", x0), make_param("w", w0), make_param("b", b0)
+        fused = tape.dense(tape.leaf(xp), w, b, relu=True)
+        unfused = tape.relu(tape.dense(Node(x0), w, b))
+        assert fused.data.tobytes() == unfused.data.tobytes()
+        assert np.any(x0 @ w0 + b0 < 0.0)  # some units are cut, so the mask is exercised
+        tape = Tape()
+        tape.backward(loss(tape, tape.leaf(xp), w, b))
+        assert np.allclose(w.grad, finite_difference_grad(lambda v: at(x0, v, b0), w0.copy()),
+                           atol=1e-8)
+        assert np.allclose(b.grad, finite_difference_grad(lambda v: at(x0, w0, v), b0.copy()),
+                           atol=1e-8)
+        assert np.allclose(xp.grad, finite_difference_grad(lambda v: at(v, w0, b0), x0.copy()),
+                           atol=1e-8)
+
 
 @pytest.mark.parametrize("axis", [None, 0, 1])
 def test_mean_is_scaled_sum(axis):
@@ -343,22 +369,31 @@ def test_softmax_gradient_matches_finite_differences():
     assert np.allclose(p.grad, fd, atol=1e-8)
 
 
-def test_dispose_clears_record_and_breaks_tape_cycle():
-    # [TRIVIAL] after dispose the tape records nothing and is freed by
-    # refcounting alone (no cycle left for the garbage collector)
+def test_gradless_tape_records_nothing_and_is_freed_by_refcounting():
+    # a gradless forward keeps no backward function, and no tape is part of
+    # a reference cycle, so both kinds are freed with the cyclic GC off
     import gc
     import weakref
 
-    tape = Tape()
-    p = make_param("w", np.array([[1.0, 2.0]]))
-    out = tape.relu(tape.leaf(p))
-    assert np.array_equal(out.data, [[1.0, 2.0]])
-    tape.dispose()
-    assert tape._ops == []
-    ref = weakref.ref(tape)
+    rng = np.random.default_rng(5)
+    w, b = make_param("w", rng.normal(size=(3, 2))), make_param("b", rng.normal(size=2))
+    table = EmbeddingTable("e", 4, 2, rng)
+
+    def forward(tape):
+        h = tape.dense(tape.constant(rng.normal(size=(5, 3))), w, b, relu=True)
+        h = tape.concat([h, tape.embedding(table, [0, 1, 2, 3, 0])], axis=1)
+        return tape.mean(tape.sigmoid(tape.mul(h, tape.leaf(make_param("s", [[2.0]])))))
+
+    gradless = Tape(grad=False)
+    out = forward(gradless)
+    assert gradless._ops == [] and not out.needs_grad
+    recording = Tape()
+    recording.backward(forward(recording))
+    assert recording._ops and np.any(w.grad)
+    refs = [weakref.ref(gradless), weakref.ref(recording)]
     gc.disable()
     try:
-        del tape
-        assert ref() is None
+        del gradless, recording
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import tiny_model_config
 from confrank.autodiff import Tape
+from confrank.config import VARIANTS
 from confrank.labels import causal_labels
 from confrank.model import (Cam2Model, SchemaHashError, VariantError,
                             check_decoupling, gradient_provenance)
@@ -122,6 +123,23 @@ class TestForward:
         model = build(schema)
         assert np.array_equal(model.predict(features), model.predict(features))
 
+    def test_predict_matches_recording_forward_bitwise(self, batch):
+        schema, features, *_ = batch
+        for variant in VARIANTS:
+            model = build(schema, variant=variant)
+            outs = model.forward(Tape(), features)
+            recorded = np.column_stack([p.data for p in outs.task_probs])
+            assert model.predict(features).tobytes() == recorded.tobytes(), variant
+
+    def test_causal_embeddings_match_recording_forward_bitwise(self, batch):
+        schema, features, *_ = batch
+        for variant in ("Proposed", "TaskArch", "JointLoss", "AllFeats"):
+            model = build(schema, variant=variant)
+            outs = model.forward(Tape(), features)
+            e_conf, e_rel = model.causal_embeddings(features)
+            assert e_conf.tobytes() == outs.e_conf.data.tobytes(), variant
+            assert e_rel.tobytes() == outs.e_rel.data.tobytes(), variant
+
     def test_de_zero_matches_baseline(self, batch):
         schema, features, *_ = batch
         base = build(schema, variant="Baseline")
@@ -205,7 +223,30 @@ class TestGradientProvenance:
                              targets(model, features, labels, x))
 
 
+class _ConstantsTape(Tape):
+    """Keeps every node made by Tape.constant."""
+
+    def __init__(self):
+        super().__init__()
+        self.constants = []
+
+    def constant(self, data):
+        node = super().constant(data)
+        self.constants.append(node)
+        return node
+
+
 class TestTrainingObjective:
+    def test_constants_receive_no_gradient(self, batch):
+        schema, features, labels, x = batch
+        model = build(schema, variant="Proposed")
+        tape = _ConstantsTape()
+        objective, _, _ = model.training_objective(
+            tape, features, labels, targets(model, features, labels, x))
+        tape.backward(objective)
+        assert tape.constants
+        assert [n.shape for n in tape.constants if n.grad is not None] == []
+
     def test_report_total_is_weighted_sum(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")

@@ -46,28 +46,40 @@ class TestValidateSchema:
         assert len(hashes) == 4
 
 
+def route(raw, schema):
+    """One raw row split by the schema's column layout into
+    {bucket: (dense values, [(categorical name, index)])}."""
+    row = schema.check_rows([raw])[0].tolist()
+    return {b: ([row[c] for c in schema.dense_for(b)],
+                [(s.name, int(row[schema.cat_col[s.name]])) for s in schema.cats_for(b)])
+            for b in (S.STATISTICAL, S.ATTRIBUTE)}
+
+
 class TestPartition:
+    """Routing a raw row into its causal buckets via Schema.dense_for,
+    Schema.cats_for and Schema.check_rows."""
+
     def test_statistical_feature_routed(self):
         schema = S.validate_schema([
             S.FeatureSpec("video_view_count", S.DENSE, S.STATISTICAL),
             S.FeatureSpec("video_topic_id", S.CATEGORICAL, S.ATTRIBUTE, vocab_size=5),
         ])
-        parts = S.partition([3.5, 2], schema)
-        assert parts.statistical_dense == [3.5]
-        assert parts.attribute_dense == []
-        assert parts.attribute_cats == [("video_topic_id", 2)]
-        assert parts.statistical_cats == []
+        parts = route([3.5, 2], schema)
+        assert parts[S.STATISTICAL][0] == [3.5]
+        assert parts[S.ATTRIBUTE][0] == []
+        assert parts[S.ATTRIBUTE][1] == [("video_topic_id", 2)]
+        assert parts[S.STATISTICAL][1] == []
 
     def test_arity_mismatch(self):
         schema = S.default_schema()
         with pytest.raises(S.SchemaError, match="arity"):
-            S.partition([0.0] * (schema.arity() + 1), schema)
+            schema.check_rows([[0.0] * (schema.arity() + 1)])
 
     def test_unknown_vocab_index(self):
         schema = S.validate_schema(
             [S.FeatureSpec("c", S.CATEGORICAL, S.ATTRIBUTE, vocab_size=3)])
         with pytest.raises(S.SchemaError, match="out of vocab"):
-            S.partition([7], schema)
+            schema.check_rows([[7]])
 
     @pytest.mark.parametrize("raw,message", [
         ([0.0, 2.5], "out of vocab"),  # categoricals are integers
@@ -80,7 +92,7 @@ class TestPartition:
             S.FeatureSpec("c", S.CATEGORICAL, S.ATTRIBUTE, vocab_size=3),
         ])
         with pytest.raises(S.SchemaError, match=message):
-            S.partition(raw, schema)
+            schema.check_rows([raw])
 
     @given(schema_strategy(), st.data())
     def test_partition_merge_roundtrip(self, schema, data):
@@ -90,17 +102,21 @@ class TestPartition:
                 raw += [data.draw(st.floats(-10, 10)) for _ in range(s.width)]
             else:
                 raw.append(data.draw(st.integers(0, s.vocab_size - 1)))
-        parts = S.partition(raw, schema)
-        assert S.merge(parts, schema) == raw
+        row = schema.check_rows([raw])[0].tolist()
+        cols = {b: schema.dense_for(b) + [schema.cat_col[s.name] for s in schema.cats_for(b)]
+                for b in (S.STATISTICAL, S.ATTRIBUTE)}
+        rebuilt = [None] * schema.arity()
+        for bucket_cols in cols.values():
+            for c in bucket_cols:
+                rebuilt[c] = row[c]
+        assert rebuilt == raw
         # bijection: every feature in exactly one bucket
-        n_stat = len(parts.statistical_dense) + len(parts.statistical_cats)
-        n_attr = len(parts.attribute_dense) + len(parts.attribute_cats)
-        assert n_stat + n_attr == len(raw)
+        assert len(cols[S.STATISTICAL]) + len(cols[S.ATTRIBUTE]) == len(raw)
 
     def test_partition_is_pure(self):
         schema = S.default_schema()
         raw = list(np.arange(schema.arity(), dtype=float) % 2)
-        a, b = S.partition(raw, schema), S.partition(raw, schema)
+        a, b = route(raw, schema), route(raw, schema)
         assert a == b
 
 
