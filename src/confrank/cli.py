@@ -131,6 +131,9 @@ def _ecosystem_summary(world, days) -> dict:
 
 
 def cmd_train(args) -> int:
+    if args.resume and (args.variant or args.seed is not None):
+        raise CliError("--variant and --seed cannot be used with --resume: "
+                       "the checkpoint fixes both", EXIT_USAGE)
     cfg = _load_config(args.config)
     model_cfg = cfg.model
     if args.variant:
@@ -370,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", default=None,
                    help=f"one of {', '.join(C.VARIANTS)}")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--resume", default=None, help="checkpoint to warm-start from")
+    t.add_argument("--resume", default=None,
+                   help="checkpoint to warm-start from (its variant and seed; "
+                        "not with --variant or --seed)")
     t.add_argument("--force", action="store_true")
     t.set_defaults(func=cmd_train)
 

@@ -228,12 +228,11 @@ def derive_features(world: World, history: History, users, items,
     return out
 
 
-def simulate_days(world: World, schema: Schema | None = None,
-                  seed: int | None = None):
+def simulate_days(world: World, schema: Schema | None = None):
     """Yield one DayLog per simulated day, folding histories as we go."""
     cfg = world.cfg
     schema = schema or default_schema(cfg.k_topics, cfg.n_age_buckets, cfg.n_content_types)
-    rng = np.random.default_rng(cfg.seed + 1 if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed + 1)
     history = History.empty(world.n_users, world.n_items)
 
     for day in range(cfg.n_days):

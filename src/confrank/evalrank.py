@@ -127,11 +127,13 @@ def cohort_metrics(daily_active, post_engagements, window: int = 28) -> dict:
 
 # -- probes -------------------------------------------------------------
 
+PROBE_RIDGE = 1e-6  # keeps the probe's Gram matrix invertible
 
-def linear_probe_r2(design: np.ndarray, target: np.ndarray, ridge: float = 1e-6) -> float:
+
+def linear_probe_r2(design: np.ndarray, target: np.ndarray) -> float:
     """R^2 of a ridge-regularized linear probe with intercept, clipped to [0, 1]."""
     a = np.column_stack([design, np.ones(design.shape[0])])
-    gram = a.T @ a + ridge * np.eye(a.shape[1])
+    gram = a.T @ a + PROBE_RIDGE * np.eye(a.shape[1])
     w = np.linalg.solve(gram, a.T @ target)
     resid = target - a @ w
     ss_tot = float(((target - target.mean()) ** 2).sum())
@@ -141,7 +143,7 @@ def linear_probe_r2(design: np.ndarray, target: np.ndarray, ridge: float = 1e-6)
 
 
 def disentanglement_probe(model: Cam2Model, world: World, features: np.ndarray,
-                          users, items, ridge: float = 1e-6) -> dict:
+                          users, items) -> dict:
     """Probe each causal embedding for popularity vs interest-alignment signal.
 
     Returns an R^2 matrix over {conformity, relevance} embeddings x
@@ -152,10 +154,10 @@ def disentanglement_probe(model: Cam2Model, world: World, features: np.ndarray,
     align = np.einsum("nk,nk->n", world.interests[np.asarray(users)],
                       world.topics[np.asarray(items)])
     return {
-        "e_conf": {"popularity": linear_probe_r2(e_conf, pop, ridge),
-                   "alignment": linear_probe_r2(e_conf, align, ridge)},
-        "e_rel": {"popularity": linear_probe_r2(e_rel, pop, ridge),
-                  "alignment": linear_probe_r2(e_rel, align, ridge)},
+        "e_conf": {"popularity": linear_probe_r2(e_conf, pop),
+                   "alignment": linear_probe_r2(e_conf, align)},
+        "e_rel": {"popularity": linear_probe_r2(e_rel, pop),
+                  "alignment": linear_probe_r2(e_rel, align)},
     }
 
 

@@ -31,12 +31,3 @@ def causal_labels(engaged, x, thresh: float, topic_flags) -> CausalLabels:
     rel = engaged * (x < thresh)
     per_interest = rel[:, None] * np.asarray(topic_flags, dtype=np.float64)
     return CausalLabels(conf, rel, per_interest)
-
-
-def mixture_weights(logits) -> tuple:
-    """Softmax of two learnable scalars -> (Pr(conformity), Pr(relevance))."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    w = e / e.sum()
-    return float(w[0]), float(w[1])

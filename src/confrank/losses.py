@@ -1,8 +1,10 @@
-"""Loss formulas and the normalized cross-entropy evaluation metric.
+"""Loss weights and reports, plain-array BCE and the normalized cross-entropy
+evaluation metric.
 
-These are the plain-array reference forms used for reporting and holdout
-evaluation; the training path builds the same formulas on the autodiff tape
-(see model.py) and the test suite checks the two against each other.
+The training path builds every loss term on the autodiff tape
+(`model.Cam2Model.loss_terms`); the plain-array reference forms of the causal
+losses and of the mixture, which the tests check the tape against, live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ PROB_CLIP = 1e-7
 
 
 class DegenerateLabelsError(ValueError):
-    """Holdout labels are all-positive or all-negative; NE is undefined."""
+    """Holdout labels are empty, all-positive or all-negative; NE is undefined."""
 
 
 @dataclass
@@ -51,33 +53,6 @@ def bce(p, y) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-task_loss = bce
-
-
-def conformity_loss(c_bar, u_hat, i_hat, squared: bool = False) -> float:
-    """Batch mean of |c - |u_hat + i_hat||, the combined-conformity residual."""
-    resid = np.abs(np.asarray(c_bar, dtype=np.float64)
-                   - np.abs(np.asarray(u_hat) + np.asarray(i_hat)))
-    if squared:
-        resid = resid**2
-    return float(np.mean(resid))
-
-
-def relevance_loss(r_bar, u_x, i_x, squared: bool = False) -> float:
-    """Batch mean over events of sum_x |r_x - u_x * i_x| across interests."""
-    r_bar = np.atleast_2d(np.asarray(r_bar, dtype=np.float64))
-    u_x = np.atleast_2d(np.asarray(u_x, dtype=np.float64))
-    i_x = np.atleast_2d(np.asarray(i_x, dtype=np.float64))
-    if r_bar.shape != u_x.shape or u_x.shape != i_x.shape:
-        raise ValueError(
-            f"interest vectors disagree: {r_bar.shape}, {u_x.shape}, {i_x.shape}"
-        )
-    resid = np.abs(r_bar - u_x * i_x)
-    if squared:
-        resid = resid**2
-    return float(np.mean(resid.sum(axis=1)))
-
-
 def total_loss(task_losses, l_conf: float, l_rel: float, weights: LossWeights) -> float:
     if len(task_losses) != len(weights.task):
         raise ValueError(
@@ -87,17 +62,14 @@ def total_loss(task_losses, l_conf: float, l_rel: float, weights: LossWeights) -
     return float(total + weights.conformity * l_conf + weights.relevance * l_rel)
 
 
-def mixture_decomposition(p_conf, p_rel, w1: float, w2: float):
-    """Pr(t) = w1 * Pr(t|Conformity) + w2 * Pr(t|Relevance)."""
-    return w1 * np.asarray(p_conf, dtype=np.float64) + w2 * np.asarray(p_rel, dtype=np.float64)
-
-
 def normalized_cross_entropy(predictions, labels) -> float:
     """Mean BCE over the log loss of the constant base-rate predictor.
 
     Lower is better; 1.0 means no lift over predicting the label mean.
     """
     y = np.asarray(labels, dtype=np.float64)
+    if y.size == 0:
+        raise DegenerateLabelsError("no labels: NE is undefined on an empty holdout")
     base_rate = y.mean()
     if base_rate <= 0.0 or base_rate >= 1.0:
         raise DegenerateLabelsError(

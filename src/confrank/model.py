@@ -25,7 +25,8 @@ of the reference wiring (Proposed) at a time:
 inject_at "bottom" concatenates the embeddings onto the shared-bottom output
 that enters each task head; "last" concatenates them onto the input of each
 head's final layer. joint_mix blends the causal targets with the anchor
-task label.
+task label. `Cam2Model.loss_terms` derives the causal targets and builds every
+loss term, for training and for the decoupling audit alike.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import numpy as np
 from . import losses as L
 from .autodiff import Adam, EmbeddingTable, Node, Parameter, Tape, glorot_uniform
 from .config import VARIANTS, ModelConfig
-from .labels import CausalLabels
+from .labels import causal_labels
 from .schema import Schema
 
 GROUPS = ("shared_bottom", "task_heads", "conformity", "relevance", "mixture")
+CAUSAL_TERMS = ("conformity_loss", "relevance_loss", "mixture_loss")
 
 
 class SchemaHashError(ValueError):
@@ -327,10 +329,11 @@ class Cam2Model:
         p = tape.clip(tape.sigmoid(logit), L.PROB_CLIP, 1.0 - L.PROB_CLIP)
         return tape.sum(p, axis=1)  # [n, 1] -> [n]
 
-    def _mixture(self, tape: Tape, out: ModelOutputs, features: np.ndarray) -> Node:
-        """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel); only the two
-        mixture logits receive gradient from its loss."""
-        topics = tape.constant(self.topic_flags(features))
+    def _mixture(self, tape: Tape, out: ModelOutputs, flags: np.ndarray) -> Node:
+        """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel) given the item
+        topic flags; only the two mixture logits receive gradient from its
+        loss."""
+        topics = tape.constant(flags)
         p_conf = tape.clip(tape.abs(tape.add(tape.stop_gradient(out.u_hat),
                                              tape.stop_gradient(out.i_hat))),
                            L.PROB_CLIP, 1.0 - L.PROB_CLIP)
@@ -351,62 +354,54 @@ class Cam2Model:
 
     # -- losses ---------------------------------------------------------
 
-    def training_objective(self, tape: Tape, features: np.ndarray,
-                           labels: np.ndarray, causal: CausalLabels | None):
-        """Build the optimized scalar node and a numpy LossReport.
-
-        The reported total is sum(w_t L_t) + w_C L_C + w_R L_R exactly; the
-        optimized node additionally carries the small diagnostic mixture term
-        on disjoint parameters.
-        """
-        cfg, spec = self.config, self.spec
+    def loss_terms(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
+        """(forward outputs, {name: unweighted scalar loss node}) in summation
+        order: task0 ... task{T-1}, then for causal variants conformity_loss,
+        relevance_loss and mixture_loss. The causal targets are derived here
+        alone: causal_labels on the anchor label (column 0), x, config.thresh
+        and the topic flags, blended with the anchor label if joint_mix."""
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
+        terms = {f"task{t}": self._bce_node(tape, p, labels[:, t])
+                 for t, p in enumerate(outs.task_probs)}
+        if self.spec.causal:
+            anchor, flags = labels[:, 0], self.topic_flags(features)
+            causal = causal_labels(anchor, x, self.config.thresh, flags)
+            c_bar, r_bar = causal.conformity, causal.per_interest
+            if self.spec.joint_mix:
+                lam = self.config.joint_label_mix
+                c_bar = (1 - lam) * c_bar + lam * anchor
+                r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * flags
+            terms.update(zip(CAUSAL_TERMS, (
+                self._conformity_node(tape, outs, c_bar),
+                self._relevance_node(tape, outs, r_bar),
+                self._bce_node(tape, self._mixture(tape, outs, flags), anchor))))
+        return outs, terms
 
-        task_nodes = [
-            self._bce_node(tape, p, labels[:, t]) for t, p in enumerate(outs.task_probs)
-        ]
-        pieces = [tape.scale(n, w) for n, w in zip(task_nodes, cfg.task_weights) if w]
-        report_tasks = tuple(float(n.data) for n in task_nodes)
-
-        l_conf = l_rel = 0.0
-        if spec.causal:
-            assert causal is not None
-            c_bar, r_bar = self.causal_loss_targets(features, labels, causal)
-            lc_node = self._conformity_node(tape, outs, c_bar)
-            lr_node = self._relevance_node(tape, outs, r_bar)
-            l_conf, l_rel = float(lc_node.data), float(lr_node.data)
-            if cfg.conformity_weight:
-                pieces.append(tape.scale(lc_node, cfg.conformity_weight))
-            if cfg.relevance_weight:
-                pieces.append(tape.scale(lr_node, cfg.relevance_weight))
-            if cfg.mixture_weight:
-                mix = self._bce_node(tape, self._mixture(tape, outs, features), labels[:, 0])
-                pieces.append(tape.scale(mix, cfg.mixture_weight))
-
+    def training_objective(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
+        """The optimized node, the in-order weighted sum of the nonzero-weighted
+        loss_terms, and a numpy LossReport whose total is sum(w_t L_t) +
+        w_C L_C + w_R L_R exactly; the node also carries the small diagnostic
+        mixture term on disjoint parameters."""
+        cfg, causal = self.config, self.spec.causal
+        outs, terms = self.loss_terms(tape, features, labels, x)
+        weights = (*cfg.task_weights, cfg.conformity_weight, cfg.relevance_weight,
+                   cfg.mixture_weight)  # zip stops at the task terms for Baseline
+        pieces = [tape.scale(n, w) for n, w in zip(terms.values(), weights) if w]
         objective = pieces[0]
         for n in pieces[1:]:
             objective = tape.add(objective, n)
 
-        weights = L.LossWeights(cfg.task_weights,
-                                cfg.conformity_weight if spec.causal else 0.0,
-                                cfg.relevance_weight if spec.causal else 0.0)
+        report_tasks = tuple(float(terms[f"task{t}"].data)
+                             for t in range(len(cfg.task_weights)))
+        l_conf = float(terms["conformity_loss"].data) if causal else 0.0
+        l_rel = float(terms["relevance_loss"].data) if causal else 0.0
+        loss_weights = L.LossWeights(cfg.task_weights, cfg.conformity_weight,
+                                     cfg.relevance_weight)
         report = L.LossReport(report_tasks, l_conf, l_rel,
-                              L.total_loss(report_tasks, l_conf, l_rel, weights),
-                              labels.shape[0])
+                              L.total_loss(report_tasks, l_conf, l_rel, loss_weights),
+                              len(labels))
         return objective, outs, report
-
-    def causal_loss_targets(self, features: np.ndarray, labels: np.ndarray,
-                            causal: CausalLabels):
-        """(conformity, per-interest) targets the causal losses regress on:
-        the causal labels, blended with the anchor task label if joint_mix."""
-        c_bar, r_bar = causal.conformity, causal.per_interest
-        if self.spec.joint_mix:
-            lam = self.config.joint_label_mix
-            anchor = labels[:, 0]
-            c_bar = (1 - lam) * c_bar + lam * anchor
-            r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * self.topic_flags(features)
-        return c_bar, r_bar
 
     def _bce_node(self, tape: Tape, p: Node, y: np.ndarray) -> Node:
         yn = tape.constant(y)
@@ -444,35 +439,24 @@ class Cam2Model:
         return outs.e_conf.data, outs.e_rel.data
 
 
-def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
+def gradient_provenance(model: Cam2Model, features, labels, x) -> dict:
     """Which loss components push nonzero gradient into which parameter group.
 
-    Runs one forward+backward per loss component on identical inputs and
-    reports max-abs gradient per (component, group).
+    One forward+backward of Cam2Model.loss_terms per component ("task" is the
+    task terms summed in order) gives max-abs gradient per (component, group).
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    components = ["task"]
-    if model.spec.causal:
-        components += ["conformity_loss", "relevance_loss", "mixture_loss"]
-        c_bar, r_bar = model.causal_loss_targets(features, labels, causal)
-
+    n_tasks = len(model.config.task_weights)
     report = {}
-    for comp in components:
+    for comp in ("task", *(CAUSAL_TERMS if model.spec.causal else ())):
         model.zero_grads()
         tape = Tape()
-        outs = model.forward(tape, features)
+        _, terms = model.loss_terms(tape, features, labels, x)
         if comp == "task":
-            nodes = [model._bce_node(tape, p, labels[:, t])
-                     for t, p in enumerate(outs.task_probs)]
-            node = nodes[0]
-            for n in nodes[1:]:
+            node, *rest = list(terms.values())[:n_tasks]
+            for n in rest:
                 node = tape.add(node, n)
-        elif comp == "conformity_loss":
-            node = model._conformity_node(tape, outs, c_bar)
-        elif comp == "relevance_loss":
-            node = model._relevance_node(tape, outs, r_bar)
         else:
-            node = model._bce_node(tape, model._mixture(tape, outs, features), labels[:, 0])
+            node = terms[comp]
         tape.backward(node)
         report[comp] = {
             g: max((float(np.abs(p.grad).max()) for p in ps), default=0.0)
@@ -482,11 +466,11 @@ def gradient_provenance(model: Cam2Model, features, labels, causal) -> dict:
     return report
 
 
-def check_decoupling(model: Cam2Model, features, labels, causal):
+def check_decoupling(model: Cam2Model, features, labels, x):
     """Abort-worthy audit of the variant's gradient-flow contract: with a
     stop-gradient no task gradient reaches the causal modules, without one
     some does, and the two causal losses never cross modules."""
-    prov = gradient_provenance(model, features, labels, causal)
+    prov = gradient_provenance(model, features, labels, x)
     if not model.spec.causal:
         return prov
     if model.spec.stop_grad:

@@ -84,9 +84,6 @@ class Schema:
         )
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def specs_in(self, bucket: str) -> list:
-        return [s for s in self.specs if s.bucket == bucket]
-
     def arity(self) -> int:
         """Raw vector length: dense widths plus one slot per categorical."""
         return self._arity

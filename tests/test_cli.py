@@ -112,6 +112,16 @@ class TestTrain:
         for v in VARIANTS:
             assert v in err
 
+    def test_resume_refuses_variant_and_seed(self, cli_env, trained_run, tmp_path, capsys):
+        _, cfg_path, data_dir = cli_env
+        ckpt = str(trained_run[0] / "checkpoint_Proposed_3.json")
+        for flags in (["--variant", "Baseline"], ["--seed", "11"]):
+            out = tmp_path / flags[0].strip("-")
+            assert cli.main(["train", "--config", cfg_path, "--dataset", data_dir,
+                             "--out", str(out), "--resume", ckpt, *flags]) == 1
+            assert "--resume" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_tampered_manifest_refused(self, cli_env, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env
         import shutil

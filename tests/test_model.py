@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config
+from oracles import conformity_loss, mixture_decomposition, mixture_weights, relevance_loss
+from confrank import losses as L
 from confrank.autodiff import Tape
 from confrank.config import VARIANTS
 from confrank.labels import causal_labels
@@ -76,8 +78,7 @@ class TestBuild:
             assert np.shares_memory(p.value, opt._value)
             assert np.shares_memory(p.grad, opt._grad)
         tape = Tape()
-        objective, _, _ = model.training_objective(
-            tape, features, labels, targets(model, features, labels, x))
+        objective, _, _ = model.training_objective(tape, features, labels, x)
         tape.backward(objective)
         assert np.any(opt._grad)
         opt.zero_grads()
@@ -152,8 +153,7 @@ class TestGradientProvenance:
         schema, features, labels, x = batch
         for variant in ("Proposed", "TaskArch", "AllFeats"):
             model = build(schema, variant=variant)
-            prov = gradient_provenance(model, features, labels,
-                                       targets(model, features, labels, x))
+            prov = gradient_provenance(model, features, labels, x)
             assert prov["task"]["conformity"] == 0.0
             assert prov["task"]["relevance"] == 0.0
             assert prov["task"]["shared_bottom"] > 0.0
@@ -162,8 +162,7 @@ class TestGradientProvenance:
     def test_conformity_loss_confined(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
-        prov = gradient_provenance(model, features, labels,
-                                   targets(model, features, labels, x))
+        prov = gradient_provenance(model, features, labels, x)
         assert prov["conformity_loss"]["conformity"] > 0.0
         for g in ("relevance", "shared_bottom", "task_heads", "mixture"):
             assert prov["conformity_loss"][g] == 0.0
@@ -173,8 +172,7 @@ class TestGradientProvenance:
     def test_mixture_loss_touches_only_logits(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
-        prov = gradient_provenance(model, features, labels,
-                                   targets(model, features, labels, x))
+        prov = gradient_provenance(model, features, labels, x)
         assert prov["mixture_loss"]["mixture"] > 0.0
         for g in ("conformity", "relevance", "shared_bottom", "task_heads"):
             assert prov["mixture_loss"][g] == 0.0
@@ -182,8 +180,7 @@ class TestGradientProvenance:
     def test_jointloss_task_gradients_reach_causal_modules(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="JointLoss")
-        prov = gradient_provenance(model, features, labels,
-                                   targets(model, features, labels, x))
+        prov = gradient_provenance(model, features, labels, x)
         assert prov["task"]["conformity"] > 1e-12
         assert prov["task"]["relevance"] > 1e-12
 
@@ -210,7 +207,7 @@ class TestGradientProvenance:
             return {g: max(float(np.abs(p.grad).max()) for p in ps)
                     for g, ps in model.groups().items()}
 
-        prov = gradient_provenance(model, features, labels, causal)
+        prov = gradient_provenance(model, features, labels, x)
         for comp, (loss_node, raw, blended) in cases.items():
             assert prov[comp] == group_grads(loss_node, blended)
             assert prov[comp] != group_grads(loss_node, raw)
@@ -219,8 +216,7 @@ class TestGradientProvenance:
         schema, features, labels, x = batch
         for variant in ("Baseline", "Proposed", "TaskArch", "JointLoss", "AllFeats"):
             model = build(schema, variant=variant)
-            check_decoupling(model, features, labels,
-                             targets(model, features, labels, x))
+            check_decoupling(model, features, labels, x)
 
 
 class _ConstantsTape(Tape):
@@ -241,8 +237,7 @@ class TestTrainingObjective:
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
         tape = _ConstantsTape()
-        objective, _, _ = model.training_objective(
-            tape, features, labels, targets(model, features, labels, x))
+        objective, _, _ = model.training_objective(tape, features, labels, x)
         tape.backward(objective)
         assert tape.constants
         assert [n.shape for n in tape.constants if n.grad is not None] == []
@@ -251,8 +246,7 @@ class TestTrainingObjective:
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
         tape = Tape()
-        _, _, report = model.training_objective(
-            tape, features, labels, targets(model, features, labels, x))
+        _, _, report = model.training_objective(tape, features, labels, x)
         cfg = model.config
         recomputed = (sum(w * l for w, l in zip(cfg.task_weights, report.task))
                       + cfg.conformity_weight * report.conformity
@@ -263,22 +257,59 @@ class TestTrainingObjective:
         schema, features, labels, x = batch
         model = build(schema, variant="Baseline")
         tape = Tape()
-        _, _, report = model.training_objective(tape, features, labels, None)
+        _, _, report = model.training_objective(tape, features, labels, x)
         assert report.conformity == 0.0 and report.relevance == 0.0
 
     def test_graph_losses_match_reference_formulas(self, batch):
-        from confrank import losses as L
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
         causal = targets(model, features, labels, x)
         tape = Tape()
-        _, outs, report = model.training_objective(tape, features, labels, causal)
+        _, outs, report = model.training_objective(tape, features, labels, x)
         u, i = outs.u_hat.data, outs.i_hat.data
         assert report.conformity == pytest.approx(
-            L.conformity_loss(causal.conformity, u, i), abs=1e-12)
+            conformity_loss(causal.conformity, u, i), abs=1e-12)
         assert report.relevance == pytest.approx(
-            L.relevance_loss(causal.per_interest, outs.u_x.data, outs.i_x.data),
+            relevance_loss(causal.per_interest, outs.u_x.data, outs.i_x.data),
             abs=1e-12)
         for t in range(labels.shape[1]):
             assert report.task[t] == pytest.approx(
-                L.task_loss(outs.task_probs[t].data, labels[:, t]), abs=1e-12)
+                L.bce(outs.task_probs[t].data, labels[:, t]), abs=1e-12)
+
+    def test_objective_is_in_order_weighted_sum_of_loss_terms(self, batch):
+        schema, features, labels, x = batch
+        for variant in VARIANTS:
+            for squared in (False, True):
+                model = build(schema, variant=variant, squared_causal_loss=squared)
+                cfg = model.config
+                objective, _, _ = model.training_objective(Tape(), features, labels, x)
+                _, terms = model.loss_terms(Tape(), features, labels, x)
+                names = [f"task{t}" for t in range(len(cfg.task_weights))]
+                weights = list(cfg.task_weights)
+                if model.spec.causal:
+                    names += ["conformity_loss", "relevance_loss", "mixture_loss"]
+                    weights += [cfg.conformity_weight, cfg.relevance_weight,
+                                cfg.mixture_weight]
+                assert list(terms) == names
+                scaled = [terms[n].data * w for n, w in zip(names, weights) if w]
+                total = scaled[0]
+                for v in scaled[1:]:
+                    total = total + v
+                assert objective.data.tobytes() == total.tobytes(), (variant, squared)
+
+    def test_mixture_matches_oracle(self, batch):
+        schema, features, labels, x = batch
+        model = build(schema, variant="Proposed")
+        model.mixture_logits.value = np.array([[0.7, -0.4]])
+        tape = Tape()
+        outs = model.forward(tape, features)
+        flags = model.topic_flags(features)
+        mix = model._mixture(tape, outs, flags)
+        clip = lambda p: np.clip(p, L.PROB_CLIP, 1.0 - L.PROB_CLIP)
+        p_conf = clip(np.abs(outs.u_hat.data + outs.i_hat.data))
+        p_rel = clip((outs.u_x.data * outs.i_x.data * flags).sum(axis=1)
+                     / np.maximum(flags.sum(axis=1), 1.0))
+        expected = mixture_decomposition(p_conf, p_rel,
+                                         *mixture_weights(model.mixture_logits.value[0]))
+        assert mix.data.shape == expected.shape
+        assert np.max(np.abs(mix.data - expected)) <= 1e-12

@@ -123,7 +123,7 @@ class TestPartition:
 class TestDefaultSchema:
     def test_validates_and_statistical_count(self):
         schema = S.default_schema()
-        assert len(schema.specs_in(S.STATISTICAL)) == 5
+        assert len(schema.dense_for(S.STATISTICAL)) == 5
 
     def test_hash_stable(self):
         assert S.default_schema().hash == S.default_schema().hash

@@ -43,12 +43,11 @@ class TestTrainDay:
         day["x"] = day["x"][:32]
         from confrank.autodiff import Tape
         model = fresh_state.model
-        causal = T._causal_targets(model, day)
         _, _, before = model.training_objective(Tape(), day["features"],
-                                                day["labels"], causal)
+                                                day["labels"], day["x"])
         T.train_day(fresh_state, day)
         _, _, after = model.training_objective(Tape(), day["features"],
-                                               day["labels"], causal)
+                                               day["labels"], day["x"])
         assert after.total < before.total
 
     def test_day_sequencing_enforced(self, fresh_state, tiny_dataset):
@@ -100,9 +99,13 @@ class TestRunExperiment:
         _, _, schema, _, days = tiny_dataset
         bad = dict(days[1])
         bad["labels"] = np.ones_like(bad["labels"])
-        with pytest.raises(DegenerateLabelsError):
-            T.run_experiment(tiny_model_config(), TrainConfig(batch_size=64),
-                             [days[0], bad], schema)
+        empty = dict(days[1])
+        for key in ("features", "labels", "x"):
+            empty[key] = empty[key][:0]
+        for holdout in (bad, empty):
+            with pytest.raises(DegenerateLabelsError):
+                T.run_experiment(tiny_model_config(), TrainConfig(batch_size=64),
+                                 [days[0], holdout], schema)
 
 
 class TestCheckpoint:
