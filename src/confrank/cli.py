@@ -144,15 +144,16 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
     manifest, schema, days = _dataset_days(args.dataset)
+    if args.resume:
+        # only an explicit --config is checked: without one the checkpoint's own config runs
+        expect = T.state_config_hash(cfg.model, cfg.train) if args.config else None
+        state = T.load_checkpoint(args.resume, expect_config_hash=expect)
+        state.model.check_schema(schema.hash)
     _prepare_out_dir(args.out, args.force)
 
-    if args.resume:
-        state = T.load_checkpoint(args.resume)
-        state.model.check_schema(schema.hash)
-        _, rows = T.resume_experiment(state, days)
-    else:
-        state, rows = T.run_experiment(model_cfg, cfg.train, days, schema,
-                                       audit_first_batch=True)
+    state, rows = (T.resume_experiment(state, days) if args.resume else
+                   T.run_experiment(model_cfg, cfg.train, days, schema,
+                                    audit_first_batch=True))
 
     tag = f"{state.model.config.variant}_{state.model.config.seed}"
     ckpt_path = os.path.join(args.out, f"checkpoint_{tag}.json")
@@ -375,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--resume", default=None,
                    help="checkpoint to warm-start from (its variant and seed; "
-                        "not with --variant or --seed)")
+                        "not with --variant or --seed; a --config must be the "
+                        "one it was trained under)")
     t.add_argument("--force", action="store_true")
     t.set_defaults(func=cmd_train)
 

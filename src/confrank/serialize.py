@@ -1,11 +1,9 @@
 """Checksummed containers: checkpoints, dataset day files, world.json, manifests.
 
-Every file is one JSON container whose float64/int64 arrays are
-base64-packed little-endian, so round-trips are bit-exact and a fixed input
-writes the same bytes every time. Every container carries a sha256 over its
-payload and refuses to load if a byte was tampered with; the manifest also
-lists each dataset file's sha256. A day file holds one `day_data_from_log`
-record.
+Each file is one JSON container whose float64/int64 arrays are base64-packed
+little-endian, so round-trips are bit-exact and a fixed input writes the same
+bytes. Its sha256 covers the payload text as written; the manifest also lists
+each dataset file's sha256. A day file holds one `day_data_from_log` record.
 """
 
 from __future__ import annotations
@@ -47,32 +45,34 @@ def unpack_array(d: dict) -> np.ndarray:
     return a.astype(d["dtype"])
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+VERSION = 2
+
+
+def _header(fmt: str, digest: str) -> bytes:
+    return f'{{"format": "{fmt}", "version": {VERSION}, "sha256": "{digest}", "payload": '.encode()
 
 
 def save_container(path, payload: dict, fmt: str = CHECKPOINT_FORMAT):
-    canon = _canonical(payload)
-    doc = {
-        "format": fmt,
-        "version": 1,
-        "sha256": hashlib.sha256(canon.encode()).hexdigest(),
-        "payload": payload,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    text = json.dumps(payload).encode()
+    with open(path, "wb") as fh:
+        fh.writelines((_header(fmt, hashlib.sha256(text).hexdigest()), text, b"}"))
 
 
 def load_container(path, fmt: str = CHECKPOINT_FORMAT) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        digest = hashlib.sha256(memoryview(raw)[len(_header(fmt, "0" * 64)):-1]).hexdigest()
+        # a sha256 has 64 hex digits; rebinding `raw` frees the bytes before the parse
+        intact, raw = raw.startswith(_header(fmt, digest)) and raw.endswith(b"}"), raw.decode()
+        doc = json.loads(raw)
+    except (OSError, ValueError) as e:
         raise CheckpointError(f"cannot read container {path}: {e}") from e
-    if doc.get("format") != fmt or doc.get("version") != 1:
-        raise CheckpointError(f"{path} is not a {fmt} v1 container")
-    canon = _canonical(doc["payload"])
-    if hashlib.sha256(canon.encode()).hexdigest() != doc.get("sha256"):
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise CheckpointError(f"{path} is not a {fmt} container")
+    if doc.get("version") != VERSION:
+        raise CheckpointError(f"{path} is a version {doc.get('version')} container, not {VERSION}")
+    if not intact:
         raise CheckpointError(f"checksum mismatch in {path}")
     return doc["payload"]
 

@@ -42,6 +42,11 @@ class MetricsRow:
         return d
 
 
+def state_config_hash(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig) -> str:
+    """The config hash a TrainState (and its checkpoint) is stamped with."""
+    return C.config_hash({"model": C.to_dict(model_cfg), "train": C.to_dict(train_cfg)})
+
+
 class TrainState:
     """Model + optimizer moments + day counter; the warm-start unit."""
 
@@ -50,9 +55,7 @@ class TrainState:
         self.train_cfg = train_cfg
         self.optimizer = model.make_optimizer(train_cfg.lr, train_cfg.betas, train_cfg.eps)
         self.last_day = -1
-        self.config_hash = C.config_hash(
-            {"model": C.to_dict(model.config), "train": C.to_dict(train_cfg)}
-        )
+        self.config_hash = state_config_hash(model.config, train_cfg)
 
 
 def train_day(state: TrainState, day_data: dict) -> L.LossReport:
@@ -105,8 +108,9 @@ def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
 
 def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
                    days: list, schema: Schema, audit_first_batch: bool = True):
-    """A fresh model, its first-batch decoupling audit, then the prequential
-    loop of resume_experiment.
+    """A fresh model, its decoupling audit on the first batch of the first
+    day that has events (none if no day has any), then the prequential loop
+    of resume_experiment.
 
     Returns (final TrainState, list of MetricsRow). `days` is a list of
     day records (see serialize.day_data_from_log) in chronological order.
@@ -117,10 +121,10 @@ def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
     state = TrainState(model, train_cfg)
 
     if audit_first_batch:
-        first = days[0]
-        n0 = min(64, first["features"].shape[0])
-        check_decoupling(model, first["features"][:n0], first["labels"][:n0],
-                         first["x"][:n0])
+        first = next((d for d in days if d["features"].shape[0]), None)
+        if first is not None:
+            check_decoupling(model, first["features"][:64], first["labels"][:64],
+                             first["x"][:64])
     return resume_experiment(state, days)
 
 

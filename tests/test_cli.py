@@ -32,6 +32,17 @@ def _sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _rewrite_as_v1(path):
+    """Rewrite a container in the version-1 layout: the same document, its
+    sha256 taken over the sorted-key, compact re-encoding of the payload."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc.update(version=1, sha256=hashlib.sha256(canon.encode()).hexdigest())
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 @pytest.fixture(scope="session")
 def cli_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -159,6 +170,33 @@ class TestTrain:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "dataset refused" in err and name in err
+
+    def test_v1_day_file_refused(self, cli_env, tmp_path, capsys):
+        """A version-1 day file, listed in a manifest that matches it, is
+        refused as a dataset, naming the version."""
+        _, cfg_path, data_dir = cli_env
+        import shutil
+        old = tmp_path / "v1_days"
+        shutil.copytree(data_dir, old)
+        _rewrite_as_v1(old / S.day_filename(1))
+        manifest = S.load_manifest(data_dir)
+        S.write_manifest(str(old), manifest["config_hash"], manifest["schema_hash"],
+                         list(manifest["files"]))
+        assert cli.main(["train", "--config", cfg_path, "--dataset", str(old),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "dataset refused" in err and "version 1" in err
+
+    def test_resume_refuses_other_config(self, cli_env, trained_run, tmp_path, capsys):
+        _, _, data_dir = cli_env
+        other = tmp_path / "lr.json"
+        other.write_text(json.dumps({**TINY_CONFIG, "train": {"batch_size": 64, "lr": 0.5}}))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(other), "--dataset", data_dir,
+                         "--out", str(out), "--resume",
+                         str(trained_run[0] / "checkpoint_Proposed_3.json")]) == 2
+        assert "trained under config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_matches_straight_run(self, cli_env, trained_run, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env
@@ -305,6 +343,15 @@ class TestRank:
         captured = capsys.readouterr()
         assert message in captured.err and not captured.out
 
+    def test_v1_checkpoint_refused(self, ckpt, candidates, tmp_path, capsys):
+        import shutil
+        old = tmp_path / "v1.json"
+        shutil.copy(ckpt, old)
+        _rewrite_as_v1(old)
+        assert cli.main(["rank", "--checkpoint", str(old), "--candidates", candidates]) == 2
+        captured = capsys.readouterr()
+        assert "version 1" in captured.err and not captured.out
+
     def test_missing_checkpoint(self, cli_env, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", "/nonexistent.json",
                          "--candidates", candidates]) in (2, 3)
@@ -330,6 +377,31 @@ class TestReport:
         missing = str(tmp_path / "nowhere")
         assert cli.main(["report", "--metrics", missing]) == 2
         assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["rank_list", "rank_no_payload", "train_list_manifest"])
+def test_malformed_container_is_validation_error(cli_env, tmp_path, capsys, case):
+    """A container whose top level is not an object, or that lacks its
+    checksum and payload, exits 2 with a message, not 3."""
+    _, cfg_path, data_dir = cli_env
+    if case == "train_list_manifest":
+        import shutil
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        (bad / S.MANIFEST_NAME).write_text("[]")
+        argv = ["train", "--config", cfg_path, "--dataset", str(bad),
+                "--out", str(tmp_path / "o")]
+        name = S.MANIFEST_NAME
+    else:
+        name = "ckpt.json"
+        (tmp_path / name).write_text(
+            "[]" if case == "rank_list"
+            else json.dumps({"format": S.CHECKPOINT_FORMAT, "version": 1}))
+        argv = ["rank", "--checkpoint", str(tmp_path / name),
+                "--candidates", str(tmp_path / "c.tsv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and "runtime error" not in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

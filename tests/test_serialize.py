@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -51,6 +53,34 @@ def test_container_detects_payload_tamper(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(S.CheckpointError):
         S.load_container(path, fmt="confrank-test")
+
+
+def test_container_checksum_is_over_written_payload_text(tmp_path):
+    path = tmp_path / "c.json"
+    payload = {"n": 1, "a": [1.5, "x"]}
+    S.save_container(str(path), payload, fmt="confrank-test")
+    raw = path.read_bytes()
+    doc = json.loads(raw)
+    assert doc["version"] == 2 and doc["payload"] == payload
+    text = json.dumps(payload).encode()
+    assert raw.endswith(b'"payload": ' + text + b"}")
+    assert doc["sha256"] == hashlib.sha256(text).hexdigest()
+
+
+@pytest.mark.parametrize("edit", [('"n": 1', '"n":  1'),
+                                  ('{"n": 1, "m": 2}', '{"m": 2, "n": 1}')],
+                         ids=["whitespace", "key_order"])
+def test_container_refuses_same_json_edits(tmp_path, edit):
+    """An edit that leaves the parsed payload equal still changes the bytes
+    the checksum covers."""
+    path = tmp_path / "c.json"
+    S.save_container(str(path), {"n": 1, "m": 2}, fmt="confrank-test")
+    text = path.read_text()
+    assert edit[0] in text
+    path.write_text(text.replace(edit[0], edit[1]))
+    assert json.loads(path.read_text())["payload"] == {"n": 1, "m": 2}
+    with pytest.raises(S.CheckpointError, match="checksum"):
+        S.load_container(str(path), fmt="confrank-test")
 
 
 def test_day_filename_zero_padded():

@@ -107,6 +107,28 @@ class TestRunExperiment:
                 T.run_experiment(tiny_model_config(), TrainConfig(batch_size=64),
                                  [days[0], holdout], schema)
 
+    @pytest.mark.parametrize("variant", ["Baseline", "Proposed"])
+    def test_audit_uses_first_day_with_events(self, tiny_dataset, monkeypatch, variant):
+        """A day 0 without events moves the first-batch audit to day 1; with
+        no events on any day there is no audit, only the empty-holdout error."""
+        _, _, schema, _, days = tiny_dataset
+        empty = [{k: v[:0] if isinstance(v, np.ndarray) else v for k, v in d.items()}
+                 for d in days[:2]]
+        audited = []
+        audit = T.check_decoupling
+        monkeypatch.setattr(T, "check_decoupling",
+                            lambda model, f, *rest: audited.append(f) or audit(model, f, *rest))
+        cfg = tiny_model_config(variant=variant)
+        _, rows = T.run_experiment(cfg, TrainConfig(batch_size=64),
+                                   [empty[0], days[1], days[2]], schema)
+        assert len(rows) == 2
+        assert len(audited) == 1 and np.array_equal(audited[0], days[1]["features"][:64])
+
+        audited.clear()
+        with pytest.raises(DegenerateLabelsError):
+            T.run_experiment(cfg, TrainConfig(batch_size=64), empty, schema)
+        assert audited == []
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tiny_dataset, tmp_path):
