@@ -29,6 +29,9 @@ first optimizer then no longer updates them.
 Node gradients are never modified in place: the first gradient a node
 receives is stored as is and later ones are added out of place, so a
 backward function may pass its incoming gradient (or a view of it) on.
+Likewise no op changes a node's data once the node is built (``dense``
+works in place only on its own new output), so nodes may share arrays:
+``stop_gradient`` returns its input's array.
 """
 
 from __future__ import annotations
@@ -320,8 +323,11 @@ class Tape:
             self._ops.append((out, back))
         return out
 
-    def dense(self, x: Node, weights: Parameter, bias: Parameter, relu: bool = False) -> Node:
-        """x @ W + b with [batch, in] x [in, out] + [out], then max(., 0) if relu."""
+    def dense(self, x: Node, weights: Parameter, bias: Parameter, relu: bool = False,
+              residual: Node | None = None) -> Node:
+        """x @ W + b with [batch, in] x [in, out] + [out], then max(., 0) if
+        relu, then + residual ([batch, out]) if given. One output array: the
+        bias, relu and residual are applied to the product in place."""
         if x.data.ndim != 2 or x.data.shape[1] != weights.shape[0]:
             raise ShapeMismatchError(
                 f"dense input {x.data.shape} does not match weights {weights.shape}"
@@ -330,15 +336,28 @@ class Tape:
             raise ShapeMismatchError(
                 f"dense bias {bias.shape} does not match weights {weights.shape}"
             )
+        if residual is not None and residual.data.shape != (x.data.shape[0], weights.shape[1]):
+            raise ShapeMismatchError(
+                f"dense residual {residual.data.shape} does not match output "
+                f"{(x.data.shape[0], weights.shape[1])}"
+            )
         w = weights.value
-        y = x.data @ w + bias.value
+        y = x.data @ w
+        y += bias.value
+        active = None
         if relu:
             np.maximum(y, 0.0, out=y)
+            if self.recording:
+                active = y > 0.0
+        if residual is not None:
+            y += residual.data
         out = Node(y, self.recording)
         if out.needs_grad:
             def back(g):
+                if residual is not None and residual.needs_grad:
+                    _accum(residual, g)
                 if relu:
-                    g = g * (out.data > 0.0)
+                    g = g * active
                 weights._grad += x.data.T @ g
                 bias._grad += g.sum(axis=0)
                 if x.needs_grad:
@@ -393,8 +412,9 @@ class Tape:
     # -- control --------------------------------------------------------
 
     def stop_gradient(self, a: Node) -> Node:
-        """Forward identity; nothing is recorded, so no gradient flows back."""
-        return Node(a.data.copy())
+        """Forward identity sharing a's array; nothing is recorded, so no
+        gradient flows back."""
+        return Node(a.data)
 
     def backward(self, loss: Node):
         if loss.data.size != 1:

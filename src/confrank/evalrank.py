@@ -185,11 +185,8 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
 
     out = {}
     for name, model in models.items():
-        # chunked scoring bounds the forward pass's activation memory
-        chunk = 16384
-        preds = np.concatenate([model.predict(features[lo : lo + chunk])
-                                for lo in range(0, features.shape[0], chunk)])
-        scores = final_score(preds, eval_cfg.combine_weights).reshape(len(users), n_cand)
+        scores = final_score(model.predict(features),
+                             eval_cfg.combine_weights).reshape(len(users), n_cand)
         item_eng = np.zeros(world.n_items)
         item_exp = np.zeros(world.n_items)
         k = min(eval_cfg.replay_k, n_cand)

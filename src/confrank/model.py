@@ -41,6 +41,13 @@ from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
 from .schema import Schema
 
+# Rows per gradless forward in predict and causal_embeddings, so inference
+# memory does not grow with the number of rows scored. A multiple of 4: with
+# OpenBLAS the last bits of a matmul row can change when the row is among the
+# trailing (n mod 4) rows of an n-row batch, so chunk boundaries on multiples
+# of 4 keep chunked results bit-identical to one full-batch forward.
+INFER_CHUNK = 2048
+
 GROUPS = ("shared_bottom", "task_heads", "conformity", "relevance", "mixture")
 CAUSAL_TERMS = ("conformity_loss", "relevance_loss", "mixture_loss")
 
@@ -134,8 +141,7 @@ class _ResidualTower:
     def __call__(self, tape: Tape, x: Node) -> Node:
         h = tape.dense(x, *self.proj, relu=True)
         for (w1, b1), (w2, b2) in self.blocks:
-            inner = tape.dense(tape.dense(h, w1, b1, relu=True), w2, b2)
-            h = tape.add(h, inner)
+            h = tape.dense(tape.dense(h, w1, b1, relu=True), w2, b2, residual=h)
         return h
 
 
@@ -270,6 +276,18 @@ class Cam2Model:
                 f"features hashed {schema_hash} but model was built for {self.schema_hash}"
             )
 
+    def _checked(self, features: np.ndarray, schema_hash: str | None) -> np.ndarray:
+        """features as a float64 matrix of the schema's arity; the schema hash
+        is checked too if one is given."""
+        if schema_hash is not None:
+            self.check_schema(schema_hash)
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.schema.arity():
+            raise SchemaHashError(
+                f"feature matrix {features.shape} does not match schema arity "
+                f"{self.schema.arity()}")
+        return features
+
     def _gather_input(self, tape: Tape, features: np.ndarray, dense_cols,
                       cat_tables) -> Node:
         pieces = []
@@ -284,14 +302,7 @@ class Cam2Model:
 
     def forward(self, tape: Tape, features: np.ndarray,
                 schema_hash: str | None = None) -> ModelOutputs:
-        if schema_hash is not None:
-            self.check_schema(schema_hash)
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.schema.arity():
-            raise SchemaHashError(
-                f"feature matrix {features.shape} does not match schema arity "
-                f"{self.schema.arity()}")
-
+        features = self._checked(features, schema_hash)
         sb_cat_tables = [(s, self._sb_embeds[s.name]) for s in self._sb_cats]
         sb_in = self._gather_input(tape, features, self._sb_dense_cols, sb_cat_tables)
         shared_out = self.shared_bottom(tape, sb_in)
@@ -427,16 +438,34 @@ class Cam2Model:
 
     # -- diagnostics ----------------------------------------------------
 
+    def _infer(self, features: np.ndarray, schema_hash: str | None, read) -> tuple:
+        """read(outputs) -> tuple of per-row arrays, from gradless forwards over
+        INFER_CHUNK-row slices of features, stacked in row order. A single
+        chunk's arrays are returned as they are; more are copied, chunk by
+        chunk, into arrays allocated for all rows."""
+        features = self._checked(features, schema_hash)
+        n = features.shape[0]
+        if n <= INFER_CHUNK:
+            return read(self.forward(Tape(grad=False), features))
+        stacked = None
+        for lo in range(0, n, INFER_CHUNK):
+            part = read(self.forward(Tape(grad=False), features[lo : lo + INFER_CHUNK]))
+            if stacked is None:
+                stacked = tuple(np.empty((n, *a.shape[1:])) for a in part)
+            for dst, a in zip(stacked, part):
+                dst[lo : lo + a.shape[0]] = a
+        return stacked
+
     def predict(self, features: np.ndarray, schema_hash: str | None = None) -> np.ndarray:
-        """[n, T] task probabilities from a forward on a gradless tape."""
-        outs = self.forward(Tape(grad=False), features, schema_hash)
-        return np.column_stack([p.data for p in outs.task_probs])
+        """[n, T] task probabilities, computed INFER_CHUNK rows at a time."""
+        return self._infer(features, schema_hash, lambda outs: (
+            np.column_stack([p.data for p in outs.task_probs]),))[0]
 
     def causal_embeddings(self, features: np.ndarray):
+        """([n, d_e] e_conf, [n, d_e] e_rel), computed INFER_CHUNK rows at a time."""
         if not self.spec.causal:
             raise VariantError(f"{self.config.variant} has no causal embeddings")
-        outs = self.forward(Tape(grad=False), features)
-        return outs.e_conf.data, outs.e_rel.data
+        return self._infer(features, None, lambda outs: (outs.e_conf.data, outs.e_rel.data))
 
 
 def gradient_provenance(model: Cam2Model, features, labels, x) -> dict:

@@ -58,7 +58,9 @@ def save_container(path, payload: dict, fmt: str = CHECKPOINT_FORMAT):
         fh.writelines((_header(fmt, hashlib.sha256(text).hexdigest()), text, b"}"))
 
 
-def load_container(path, fmt: str = CHECKPOINT_FORMAT) -> dict:
+def load_container(path, fmt: str = CHECKPOINT_FORMAT, keys=()) -> dict:
+    """The payload of a checksum-valid fmt container; it must be an object
+    holding every name in keys."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -74,7 +76,13 @@ def load_container(path, fmt: str = CHECKPOINT_FORMAT) -> dict:
         raise CheckpointError(f"{path} is a version {doc.get('version')} container, not {VERSION}")
     if not intact:
         raise CheckpointError(f"checksum mismatch in {path}")
-    return doc["payload"]
+    payload = doc["payload"]
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path} payload is not an object")
+    for key in keys:
+        if key not in payload:
+            raise CheckpointError(f"{path} payload has no {key!r}")
+    return payload
 
 
 def file_sha256(path) -> str:
@@ -129,7 +137,8 @@ def write_manifest(out_dir, config_hash: str, schema_hash: str, filenames):
 
 
 def load_manifest(out_dir) -> dict:
-    payload = load_container(os.path.join(out_dir, MANIFEST_NAME), fmt="confrank-manifest")
+    payload = load_container(os.path.join(out_dir, MANIFEST_NAME), fmt="confrank-manifest",
+                             keys=("config_hash", "schema_hash", "files"))
     for name, digest in payload["files"].items():
         path = os.path.join(out_dir, name)
         if not os.path.exists(path) or file_sha256(path) != digest:

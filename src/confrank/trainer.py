@@ -149,7 +149,8 @@ def save_checkpoint(state: TrainState, path):
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
-    payload = S.load_container(path)
+    payload = S.load_container(path, keys=("config_hash", "model_config", "train_config",
+                                           "schema", "last_day", "params", "adam"))
     if expect_config_hash is not None and payload["config_hash"] != expect_config_hash:
         raise S.CheckpointError(
             f"checkpoint was trained under config {payload['config_hash']}, "

@@ -178,11 +178,72 @@ class TestResidualBlock:
         assert np.allclose(xp.grad, fd, rtol=1e-5, atol=1e-8)
 
 
+class TestFusedResidual:
+    """tape.dense(..., residual=r) adds r after the bias and relu."""
+
+    @staticmethod
+    def params(rng, n_in, n_out):
+        return (make_param("w", rng.normal(size=(n_in, n_out))),
+                make_param("b", rng.normal(size=n_out)))
+
+    def test_matches_dense_then_add_bitwise(self):
+        rng = np.random.default_rng(1)
+        x0, coef = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        w1v, b1v = rng.normal(size=(3, 3)), rng.normal(size=3)
+        w2v, b2v = rng.normal(size=(3, 3)), rng.normal(size=3)
+
+        def run(fused):
+            ps = [make_param(n, v) for n, v in
+                  (("x", x0), ("w1", w1v), ("b1", b1v), ("w2", w2v), ("b2", b2v))]
+            xp, w1, b1, w2, b2 = ps
+            tape = Tape()
+            x = tape.leaf(xp)
+            hidden = tape.dense(x, w1, b1, relu=True)
+            if fused:
+                out = tape.dense(hidden, w2, b2, residual=x)
+            else:
+                out = tape.add(x, tape.dense(hidden, w2, b2))
+            tape.backward(tape.sum(tape.mul(out, tape.constant(coef))))
+            return [out.data.tobytes()] + [p.grad.tobytes() for p in ps]
+
+        assert run(fused=True) == run(fused=False)
+
+    def test_relu_and_residual_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(2)
+        w, b = self.params(rng, 3, 2)
+        x0, r0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        assert (x0 @ w.value + b.value > 0).any() and (x0 @ w.value + b.value < 0).any()
+
+        def f_x(xv):
+            t = Tape()
+            return float(t.sum(t.dense(Node(xv), w, b, relu=True, residual=Node(r0))).data)
+
+        def f_r(rv):
+            t = Tape()
+            return float(t.sum(t.dense(Node(x0), w, b, relu=True, residual=Node(rv))).data)
+
+        tape = Tape()
+        xp, rp = make_param("x", x0), make_param("r", r0)
+        tape.backward(tape.sum(tape.dense(tape.leaf(xp), w, b, relu=True,
+                                          residual=tape.leaf(rp))))
+        assert np.allclose(xp.grad, finite_difference_grad(f_x, x0.copy()), rtol=1e-5, atol=1e-8)
+        assert np.allclose(rp.grad, finite_difference_grad(f_r, r0.copy()), rtol=1e-5, atol=1e-8)
+
+    def test_residual_shape_mismatch(self):
+        w, b = self.params(np.random.default_rng(3), 3, 2)
+        with pytest.raises(ShapeMismatchError, match="residual"):
+            Tape().dense(Node(np.zeros((4, 3))), w, b, residual=Node(np.zeros((4, 3))))
+
+
 class TestStopGradient:
     def test_forward_identity(self):
         tape = Tape()
         out = tape.stop_gradient(Node([1.0, 2.0, 3.0]))
         assert np.array_equal(out.data, [1.0, 2.0, 3.0])
+
+    def test_output_shares_the_input_array(self):
+        a = Node([1.0, 2.0, 3.0])
+        assert Tape().stop_gradient(a).data is a.data
 
     def test_barrier_blocks_all_gradient(self):
         tape = Tape()

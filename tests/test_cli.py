@@ -404,5 +404,27 @@ def test_malformed_container_is_validation_error(cli_env, tmp_path, capsys, case
     assert name in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("command", ["rank", "train"])
+def test_container_without_payload_keys_is_validation_error(cli_env, tmp_path, capsys,
+                                                            command):
+    """A checksum-valid checkpoint or manifest whose payload is {} exits 2
+    naming the first missing key, not 3."""
+    _, cfg_path, data_dir = cli_env
+    if command == "train":
+        import shutil
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        S.save_container(str(bad / S.MANIFEST_NAME), {}, fmt="confrank-manifest")
+        argv = ["train", "--config", cfg_path, "--dataset", str(bad),
+                "--out", str(tmp_path / "o")]
+    else:
+        S.save_container(str(tmp_path / "ckpt.json"), {})
+        argv = ["rank", "--checkpoint", str(tmp_path / "ckpt.json"),
+                "--candidates", str(tmp_path / "c.tsv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'config_hash'" in err and "runtime error" not in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from confrank import losses as L
 from confrank.autodiff import Tape
 from confrank.config import VARIANTS
 from confrank.labels import causal_labels
-from confrank.model import (Cam2Model, SchemaHashError, VariantError,
+from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
                             check_decoupling, gradient_provenance)
 from confrank.schema import (ATTRIBUTE, DENSE, STATISTICAL, FeatureSpec,
                              validate_schema)
@@ -146,6 +147,54 @@ class TestForward:
         base = build(schema, variant="Baseline")
         prop = build(schema, variant="Proposed", causal_embed_dim=0)
         assert np.array_equal(base.predict(features), prop.predict(features))
+
+
+def distinct_rows(schema, logs, n, seed=0):
+    """n feature rows resampled from the logs, each dense value jittered so
+    that no two rows are alike (a misplaced chunk cannot go unnoticed)."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([log.features for log in logs])
+    rows = pool[rng.integers(0, pool.shape[0], size=n)]
+    dense = schema.dense_for()
+    rows[:, dense] += rng.normal(0.0, 0.1, size=(n, len(dense)))
+    return rows
+
+
+class TestChunkedInference:
+    @pytest.mark.parametrize("n", [0, INFER_CHUNK, INFER_CHUNK + 1, 2 * INFER_CHUNK + 3])
+    def test_matches_one_unchunked_forward_in_row_order(self, tiny_dataset, n):
+        # a tolerance, not bitwise: multithreaded BLAS may already change the
+        # last bit of an unchunked forward from one call to the next
+        _, _, schema, logs, _ = tiny_dataset
+        features = distinct_rows(schema, logs, n)
+        close = lambda a, b: np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+        for variant in VARIANTS:
+            model = build(schema, variant=variant)
+            outs = model.forward(Tape(grad=False), features)
+            preds = model.predict(features)
+            assert preds.shape == (n, len(model.config.task_weights))
+            close(preds, np.column_stack([p.data for p in outs.task_probs]))
+            if model.spec.causal:
+                e_conf, e_rel = model.causal_embeddings(features)
+                close(e_conf, outs.e_conf.data)
+                close(e_rel, outs.e_rel.data)
+
+    def test_peak_memory_does_not_grow_with_rows(self, tiny_dataset):
+        _, _, schema, logs, _ = tiny_dataset
+        model = build(schema, variant="Proposed")
+        features = distinct_rows(schema, logs, 8 * INFER_CHUNK)
+
+        def traced_peak(rows):
+            tracemalloc.start()
+            try:
+                model.predict(rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        model.predict(features[:INFER_CHUNK])  # warm up numpy's own allocations
+        one_chunk = traced_peak(features[:INFER_CHUNK])
+        assert traced_peak(features) < 2 * one_chunk
 
 
 class TestGradientProvenance:

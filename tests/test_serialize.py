@@ -42,6 +42,17 @@ def test_container_rejects_wrong_format(tmp_path):
         S.load_container(path, fmt="confrank-other")
 
 
+def test_container_payload_must_hold_the_required_keys(tmp_path):
+    path = str(tmp_path / "c.json")
+    S.save_container(path, {"a": 1}, fmt="confrank-test")
+    assert S.load_container(path, fmt="confrank-test", keys=("a",)) == {"a": 1}
+    with pytest.raises(S.CheckpointError, match="payload has no 'b'"):
+        S.load_container(path, fmt="confrank-test", keys=("a", "b"))
+    S.save_container(path, [1], fmt="confrank-test")
+    with pytest.raises(S.CheckpointError, match="not an object"):
+        S.load_container(path, fmt="confrank-test")
+
+
 def test_container_detects_payload_tamper(tmp_path):
     path = str(tmp_path / "c.json")
     S.save_container(path, {"n": 1}, fmt="confrank-test")
