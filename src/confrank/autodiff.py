@@ -4,7 +4,8 @@ A ``Tape`` records operations as they execute (define-by-run) and replays
 them in reverse to accumulate gradients into ``Parameter`` objects. Only
 the handful of ops the ranking model needs are provided: dense layers,
 component-wise activations, embedding lookups, elementwise arithmetic,
-reductions, concatenation and a stop-gradient barrier.
+reductions, concatenation, a binary cross-entropy loss and a stop-gradient
+barrier.
 
 Everything is float64. Tapes are single-use: build one per forward pass.
 
@@ -134,7 +135,11 @@ def _spread(g, axis, like: np.ndarray) -> np.ndarray:
     """Broadcast a reduction's output gradient back over the reduced axis."""
     if axis is None:
         return np.full_like(like, g)
-    return np.broadcast_to(np.expand_dims(g, axis), like.shape).copy()
+    kept = list(like.shape)
+    kept[axis] = 1
+    out = np.empty_like(like)
+    out[...] = g.reshape(kept)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -286,6 +291,18 @@ class Tape:
     # -- reductions -----------------------------------------------------
 
     def sum(self, a: Node, axis=None) -> Node:
+        """Sum over axis (all axes if None); over an axis of length 1 it is a
+        reshape, which drops the axis without a copy."""
+        shape = a.data.shape
+        if axis is not None and shape[axis] == 1:
+            axis %= len(shape)
+            out = Node(a.data.reshape(shape[:axis] + shape[axis + 1:]), a.needs_grad)
+            if out.needs_grad:
+                def back(g):
+                    _accum(a, g.reshape(shape))
+
+                self._ops.append((out, back))
+            return out
         out = Node(a.data.sum(axis=axis), a.needs_grad)
         if out.needs_grad:
             def back(g):
@@ -301,6 +318,27 @@ class Tape:
         if out.needs_grad:
             def back(g):
                 _accum(a, _spread(g * c, axis, a.data))
+
+            self._ops.append((out, back))
+        return out
+
+    # -- losses ---------------------------------------------------------
+
+    def bce(self, p: Node, y, lo: float, hi: float) -> Node:
+        """Mean binary cross-entropy of probabilities p ([n]) against labels y,
+        with p clipped to [lo, hi]. One node, with the float ops, in their
+        order, of the chain clip, log, mul, sub, add, mean and scale by -1."""
+        y = _as_f64(y)
+        pc = np.clip(p.data, lo, hi)
+        not_y, not_pc = 1.0 - y, 1.0 - pc
+        s = y * np.log(pc) + not_y * np.log(not_pc)
+        c = 1.0 / s.size
+        out = Node((s.sum() * c) * -1.0, p.needs_grad)
+        if out.needs_grad:
+            def back(g):
+                gs = np.full_like(s, (g * -1.0) * c)
+                d = -((gs * not_y) / not_pc) + (gs * y) / pc
+                _accum(p, d * ((p.data > lo) & (p.data < hi)))
 
             self._ops.append((out, back))
         return out
@@ -359,7 +397,7 @@ class Tape:
                 if relu:
                     g = g * active
                 weights._grad += x.data.T @ g
-                bias._grad += g.sum(axis=0)
+                bias._grad += np.add.reduce(g, axis=0)
                 if x.needs_grad:
                     _accum(x, g @ w.T)
 
@@ -367,15 +405,22 @@ class Tape:
         return out
 
     def concat(self, nodes: list, axis: int = 1) -> Node:
-        datas = [n.data for n in nodes]
-        out = Node(np.concatenate(datas, axis=axis), any([n.needs_grad for n in nodes]))
+        """Join along axis; backward hands each input its slice of the
+        gradient as a view."""
+        out = Node(np.concatenate([n.data for n in nodes], axis=axis),
+                   any(n.needs_grad for n in nodes))
         if out.needs_grad:
-            splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
+            lead = (slice(None),) * (axis % out.data.ndim)
+            pieces, lo = [], 0
+            for node in nodes:
+                hi = lo + node.data.shape[axis]
+                if node.needs_grad:
+                    pieces.append((node, (*lead, slice(lo, hi))))
+                lo = hi
 
             def back(g):
-                for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
-                    if node.needs_grad:
-                        _accum(node, piece)
+                for node, where in pieces:
+                    _accum(node, g[where])
 
             self._ops.append((out, back))
         return out
@@ -442,6 +487,7 @@ class Adam:
         n = sum(p.value.size for p in self.params)
         self._value, self._grad = np.empty(n), np.empty(n)
         self._m, self._v = np.zeros(n), np.zeros(n)
+        self._scratch = np.empty(n), np.empty(n)  # step's temporaries
         self._moments = {}  # name -> (m view, v view)
         lo = 0
         for p in self.params:
@@ -465,13 +511,16 @@ class Adam:
         # p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
         self.t += 1
         g, m, v = self._grad, self._m, self._v
+        a, b = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g**2
-        denom = np.sqrt(v / (1.0 - self.beta2 ** self.t))
+        np.square(g, out=a)
+        v += np.multiply(a, 1.0 - self.beta2, out=a)
+        denom = np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.t, out=a), out=a)
         denom += self.eps
-        self._value -= self.lr * (m / (1.0 - self.beta1 ** self.t)) / denom
+        step = np.multiply(np.divide(m, 1.0 - self.beta1 ** self.t, out=b), self.lr, out=b)
+        self._value -= np.divide(step, denom, out=b)
 
     def state_dict(self) -> dict:
         return {name: {"m": m.copy(), "v": v.copy(), "t": self.t}

@@ -62,8 +62,7 @@ def _dataset_days(dataset_dir) -> tuple:
 
 def _dataset_world(dataset_dir):
     """The generator's ground truth stored next to the day files."""
-    return S.unpack_world(S.load_container(os.path.join(dataset_dir, "world.json"),
-                                           fmt=S.WORLD_FORMAT))
+    return S.read_world_file(os.path.join(dataset_dir, "world.json"))
 
 
 # -- gen-data -----------------------------------------------------------
@@ -87,8 +86,7 @@ def cmd_gen_data(args) -> int:
         S.write_day_file(os.path.join(args.out, name), log, schema.hash)
         filenames.append(name)
     write_schema_file(schema, os.path.join(args.out, "schema.tsv"))
-    S.save_container(os.path.join(args.out, "world.json"), S.pack_world(world),
-                     fmt=S.WORLD_FORMAT)
+    S.write_world_file(os.path.join(args.out, "world.json"), world)
     filenames += ["schema.tsv", "world.json"]
     S.write_manifest(args.out, C.config_hash(data_cfg), schema.hash, filenames)
     print(f"wrote {len(filenames)} files to {args.out} "
@@ -144,6 +142,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
     manifest, schema, days = _dataset_days(args.dataset)
+    world = _dataset_world(args.dataset)
     if args.resume:
         # only an explicit --config is checked: without one the checkpoint's own config runs
         expect = T.state_config_hash(cfg.model, cfg.train) if args.config else None
@@ -159,7 +158,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out, f"checkpoint_{tag}.json")
     T.save_checkpoint(state, ckpt_path)
 
-    summary = _ecosystem_summary(_dataset_world(args.dataset), days)
+    summary = _ecosystem_summary(world, days)
 
     metrics = {
         "config_hash": state.config_hash,

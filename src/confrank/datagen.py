@@ -163,18 +163,25 @@ def generate_world(cfg: DataConfig) -> World:
                  z_log_pop, top_decile)
 
 
-def engagement_terms(world: World, users, items, task: int):
-    """Per-event conformity and relevance logit terms for one task."""
-    cfg = world.cfg
-    conf = cfg.task_alpha[task] * world.conformity[users] * world.z_log_pop[items]
-    rel = cfg.task_beta[task] * world.interest_alignment(users, items) * world.quality[items]
-    return conf, rel
+def _event_factors(world: World, users, items) -> tuple:
+    """The world factors every task's logit reads, for paired index arrays:
+    (user conformity, item z log-popularity, interest alignment, item quality)."""
+    return (world.conformity[users], world.z_log_pop[items],
+            world.interest_alignment(users, items), world.quality[items])
+
+
+def _engagement(cfg: DataConfig, factors: tuple, task: int) -> tuple:
+    """(engagement probability, conformity logit term, relevance logit term)
+    of one task for the events whose _event_factors are given."""
+    conformity, z_log_pop, alignment, quality = factors
+    conf = cfg.task_alpha[task] * conformity * z_log_pop
+    rel = cfg.task_beta[task] * alignment * quality
+    p = 1.0 / (1.0 + np.exp(-(conf + rel + cfg.task_gamma[task])))
+    return np.clip(p, 1e-7, 1.0 - 1e-7), conf, rel
 
 
 def engagement_probability(world: World, users, items, task: int) -> np.ndarray:
-    conf, rel = engagement_terms(world, users, items, task)
-    p = 1.0 / (1.0 + np.exp(-(conf + rel + world.cfg.task_gamma[task])))
-    return np.clip(p, 1e-7, 1.0 - 1e-7)
+    return _engagement(world.cfg, _event_factors(world, users, items), task)[0]
 
 
 def derive_x(history: History) -> np.ndarray:
@@ -247,11 +254,13 @@ def simulate_days(world: World, schema: Schema | None = None):
         users, items = users[order], items[order]
 
         labels = np.zeros((users.shape[0], cfg.n_tasks), dtype=np.int64)
+        factors = _event_factors(world, users, items)
         for t in range(cfg.n_tasks):
-            p = engagement_probability(world, users, items, t)
+            p, conf_t, rel_t = _engagement(cfg, factors, t)
             labels[:, t] = (rng.random(users.shape[0]) < p).astype(np.int64)
+            if t == 0:
+                conf, rel = conf_t, rel_t  # the anchor task's logged components
 
-        conf, rel = engagement_terms(world, users, items, 0)
         x = derive_x(history)[users]
         features = derive_features(world, history, users, items, schema)
 

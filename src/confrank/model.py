@@ -325,14 +325,15 @@ class Cam2Model:
             if spec.stop_grad:
                 e_conf, e_rel = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
 
+        # one head input for every head: their input gradients accumulate
+        # into it in reverse head order, as into three separate concats
+        head_in, before_last = shared_out, None
+        if spec.causal and spec.inject_at == "last":
+            before_last = tape.concat([e_conf, e_rel], axis=1)
+        elif spec.causal:
+            head_in = tape.concat([shared_out, e_conf, e_rel], axis=1)
         for head in self.task_heads:
-            if not spec.causal:
-                logit = head(tape, shared_out)
-            elif spec.inject_at == "last":
-                logit = head(tape, shared_out,
-                             stop_before_last=tape.concat([e_conf, e_rel], axis=1))
-            else:
-                logit = head(tape, tape.concat([shared_out, e_conf, e_rel], axis=1))
+            logit = head(tape, head_in, stop_before_last=before_last)
             out.task_probs.append(self._squeeze_prob(tape, logit))
         return out
 
@@ -373,7 +374,7 @@ class Cam2Model:
         and the topic flags, blended with the anchor label if joint_mix."""
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
-        terms = {f"task{t}": self._bce_node(tape, p, labels[:, t])
+        terms = {f"task{t}": tape.bce(p, labels[:, t], L.PROB_CLIP, 1.0 - L.PROB_CLIP)
                  for t, p in enumerate(outs.task_probs)}
         if self.spec.causal:
             anchor, flags = labels[:, 0], self.topic_flags(features)
@@ -386,7 +387,8 @@ class Cam2Model:
             terms.update(zip(CAUSAL_TERMS, (
                 self._conformity_node(tape, outs, c_bar),
                 self._relevance_node(tape, outs, r_bar),
-                self._bce_node(tape, self._mixture(tape, outs, flags), anchor))))
+                tape.bce(self._mixture(tape, outs, flags), anchor,
+                         L.PROB_CLIP, 1.0 - L.PROB_CLIP))))
         return outs, terms
 
     def training_objective(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
@@ -398,7 +400,8 @@ class Cam2Model:
         outs, terms = self.loss_terms(tape, features, labels, x)
         weights = (*cfg.task_weights, cfg.conformity_weight, cfg.relevance_weight,
                    cfg.mixture_weight)  # zip stops at the task terms for Baseline
-        pieces = [tape.scale(n, w) for n, w in zip(terms.values(), weights) if w]
+        pieces = [n if w == 1.0 else tape.scale(n, w)  # x * 1.0 is x, bit for bit
+                  for n, w in zip(terms.values(), weights) if w]
         objective = pieces[0]
         for n in pieces[1:]:
             objective = tape.add(objective, n)
@@ -413,14 +416,6 @@ class Cam2Model:
                               L.total_loss(report_tasks, l_conf, l_rel, loss_weights),
                               len(labels))
         return objective, outs, report
-
-    def _bce_node(self, tape: Tape, p: Node, y: np.ndarray) -> Node:
-        yn = tape.constant(y)
-        one = tape.constant(np.ones_like(p.data))
-        pc = tape.clip(p, L.PROB_CLIP, 1.0 - L.PROB_CLIP)
-        pos = tape.mul(yn, tape.log(pc))
-        neg = tape.mul(tape.sub(one, yn), tape.log(tape.sub(one, pc)))
-        return tape.scale(tape.mean(tape.add(pos, neg)), -1.0)
 
     def _conformity_node(self, tape: Tape, outs: ModelOutputs, c_bar) -> Node:
         s = tape.abs(tape.add(outs.u_hat, outs.i_hat))

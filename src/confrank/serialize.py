@@ -122,8 +122,13 @@ def write_day_file(path, log, schema_hash: str):
                           for k, v in record.items()}, fmt=DAY_FORMAT)
 
 
+# the names of a day_data_from_log record
+_DAY_KEYS = ("schema_hash", "day", "user_ids", "item_ids", "features", "x", "labels",
+             "conformity_component", "relevance_component")
+
+
 def read_day_file(path) -> dict:
-    payload = load_container(path, fmt=DAY_FORMAT)
+    payload = load_container(path, fmt=DAY_FORMAT, keys=_DAY_KEYS)
     return {k: unpack_array(v) if isinstance(v, dict) else v for k, v in payload.items()}
 
 
@@ -153,16 +158,22 @@ _WORLD_ARRAYS = ("conformity", "interests", "activity", "age_bucket", "popularit
                  "top_decile")
 
 
-def pack_world(world: World) -> dict:
-    """Container payload for world.json: the data config plus every array."""
+def write_world_file(path, world: World):
+    """world.json: the data config plus every array."""
     arrays = {name: getattr(world, name) for name in _WORLD_ARRAYS}
     arrays["top_decile"] = world.top_decile.astype(np.int64)
-    return {"config": C.to_dict(world.cfg),
-            "arrays": {name: pack_array(a) for name, a in arrays.items()}}
+    save_container(path, {"config": C.to_dict(world.cfg),
+                          "arrays": {name: pack_array(a) for name, a in arrays.items()}},
+                   fmt=WORLD_FORMAT)
 
 
-def unpack_world(payload: dict) -> World:
-    """Inverse of pack_world."""
-    a = {k: unpack_array(v) for k, v in payload["arrays"].items()}
+def read_world_file(path) -> World:
+    """Inverse of write_world_file."""
+    payload = load_container(path, fmt=WORLD_FORMAT, keys=("config", "arrays"))
+    packed = payload["arrays"]
+    missing = [name for name in _WORLD_ARRAYS if name not in packed]
+    if missing:
+        raise CheckpointError(f"{path} has no {missing[0]!r} array")
+    a = {name: unpack_array(packed[name]) for name in _WORLD_ARRAYS}
     a["top_decile"] = a["top_decile"].astype(bool)
     return World(C._from_dict(C.DataConfig, payload["config"]), **a)

@@ -292,6 +292,84 @@ class TestEmbedding:
             tape.embedding(self.table([[1.0], [2.0]]), [0, 5])
 
 
+def _bce_chain(tape, p, y, lo, hi):
+    """Binary cross-entropy built from single tape ops, as Tape.bce's oracle."""
+    yn = tape.constant(y)
+    one = tape.constant(np.ones_like(p.data))
+    pc = tape.clip(p, lo, hi)
+    pos = tape.mul(yn, tape.log(pc))
+    neg = tape.mul(tape.sub(one, yn), tape.log(tape.sub(one, pc)))
+    return tape.scale(tape.mean(tape.add(pos, neg)), -1.0)
+
+
+class TestBce:
+    LO, HI = 0.1, 0.8
+    # below, at and above each clip limit, and inside, each with y = 0 and 1
+    P = np.repeat([0.05, 0.1, 0.1000001, 0.37, 0.7999999, 0.8, 0.93], 2)
+    Y = np.tile([0.0, 1.0], 7)
+
+    def _loss_and_grad(self, loss_fn, p0, y):
+        tape = Tape()
+        p = make_param("p", p0)
+        loss = tape.scale(loss_fn(tape, tape.leaf(p), y, self.LO, self.HI), 0.37)
+        tape.backward(loss)
+        return loss.data, p.grad.copy()
+
+    @pytest.mark.parametrize("labels", ["mixed", 0.0, 1.0])
+    def test_matches_the_op_chain_bitwise(self, labels):
+        y = self.Y if labels == "mixed" else np.full(self.P.shape, labels)
+        fused = self._loss_and_grad(Tape.bce, self.P, y)
+        chain = self._loss_and_grad(_bce_chain, self.P, y)
+        assert fused[0].tobytes() == chain[0].tobytes()
+        assert fused[1].tobytes() == chain[1].tobytes()
+        clipped = (self.P <= self.LO) | (self.P >= self.HI)
+        assert np.all(fused[1][clipped] == 0.0) and np.all(fused[1][~clipped] != 0.0)
+
+    def test_gradient_matches_finite_differences(self):
+        p0 = np.array([0.05, 0.2, 0.45, 0.6, 0.75, 0.9])
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        _, grad = self._loss_and_grad(Tape.bce, p0, y)
+
+        def f(p):
+            return float(Tape().bce(Node(p), y, self.LO, self.HI).data) * 0.37
+
+        assert np.allclose(grad, finite_difference_grad(f, p0.copy(), h=1e-7), atol=1e-7)
+
+    def test_constant_input_records_nothing(self):
+        tape = Tape()
+        out = tape.bce(tape.constant([0.3, 0.6]), [1.0, 0.0], self.LO, self.HI)
+        assert not out.needs_grad and tape._ops == []
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_backward_hands_each_input_its_slice(axis):
+    rng = np.random.default_rng(6)
+    shapes = [(w, 4) if axis == 0 else (4, w) for w in (2, 3, 1)]
+    a, c = make_param("a", rng.normal(size=shapes[0])), make_param("c", rng.normal(size=shapes[2]))
+    tape = Tape()
+    middle = tape.constant(rng.normal(size=shapes[1]))  # needs no gradient
+    out = tape.concat([tape.leaf(a), middle, tape.leaf(c)], axis=axis)
+    g = rng.normal(size=out.shape)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
+    assert middle.grad is None
+    pieces = np.split(g, [2, 5], axis=axis)
+    assert a.grad.tobytes() == pieces[0].tobytes()
+    assert c.grad.tobytes() == pieces[2].tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_size_one_sum_is_a_reshape(axis):
+    a0 = np.random.default_rng(7).normal(size=(1, 5) if axis == 0 else (5, 1))
+    tape = Tape()
+    p = make_param("a", a0)
+    out = tape.sum(tape.leaf(p), axis=axis)
+    assert out.data.tobytes() == a0.sum(axis=axis).tobytes() == a0.tobytes()
+    assert out.shape == (5,) and np.shares_memory(out.data, p.value)
+    g = np.random.default_rng(8).normal(size=5)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
+    assert p.grad.shape == a0.shape and p.grad.tobytes() == g.tobytes()
+
+
 class TestBackward:
     def test_constant_loss_gives_zero_gradients(self):
         tape = Tape()

@@ -426,5 +426,30 @@ def test_container_without_payload_keys_is_validation_error(cli_env, tmp_path, c
     assert "'config_hash'" in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("name,fmt,payload,key", [
+    (S.day_filename(1), S.DAY_FORMAT, {}, "'schema_hash'"),
+    ("world.json", S.WORLD_FORMAT, {}, "'config'"),
+    ("world.json", S.WORLD_FORMAT, {"config": {}, "arrays": {}}, "'conformity'")])
+def test_dataset_file_without_payload_keys_is_validation_error(cli_env, tmp_path, capsys,
+                                                               name, fmt, payload, key):
+    """A checksum-valid day file or world.json that lacks a key or array,
+    listed in a manifest that matches it, exits 2 naming the first missing
+    one before anything is written to --out."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    S.save_container(str(bad / name), payload, fmt=fmt)
+    manifest = S.load_manifest(data_dir)
+    S.write_manifest(str(bad), manifest["config_hash"], manifest["schema_hash"],
+                     list(manifest["files"]))
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and name in err and "runtime error" not in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 1

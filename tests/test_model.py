@@ -8,7 +8,7 @@ from conftest import tiny_model_config
 from oracles import conformity_loss, mixture_decomposition, mixture_weights, relevance_loss
 from confrank import losses as L
 from confrank.autodiff import Tape
-from confrank.config import VARIANTS
+from confrank.config import VARIANTS, ModelConfig
 from confrank.labels import causal_labels
 from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
                             check_decoupling, gradient_provenance)
@@ -290,6 +290,15 @@ class TestTrainingObjective:
         tape.backward(objective)
         assert tape.constants
         assert [n.shape for n in tape.constants if n.grad is not None] == []
+
+    def test_proposed_step_records_at_most_90_ops(self, batch):
+        # default-config Proposed: 127 recorded ops before Tape.bce, the shared
+        # head input, and unscaled unit-weight terms
+        schema, features, labels, x = batch
+        model = Cam2Model(ModelConfig(variant="Proposed"), schema)
+        tape = Tape()
+        model.training_objective(tape, features, labels, x)
+        assert len(tape._ops) <= 90
 
     def test_report_total_is_weighted_sum(self, batch):
         schema, features, labels, x = batch
