@@ -522,10 +522,6 @@ class Adam:
         step = np.multiply(np.divide(m, 1.0 - self.beta1 ** self.t, out=b), self.lr, out=b)
         self._value -= np.divide(step, denom, out=b)
 
-    def state_dict(self) -> dict:
-        return {name: {"m": m.copy(), "v": v.copy(), "t": self.t}
-                for name, (m, v) in self._moments.items()}
-
     def load_state_dict(self, state: dict):
         steps = {int(st["t"]) for st in state.values()}
         if len(steps) > 1:

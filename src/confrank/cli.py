@@ -60,6 +60,15 @@ def _dataset_days(dataset_dir) -> tuple:
     return manifest, schema, days
 
 
+def _check_task_count(model_cfg: C.ModelConfig, days):
+    """Refuse a model whose task count differs from the dataset's label width."""
+    n_tasks = len(model_cfg.task_weights)
+    widths = {d["labels"].shape[1] for d in days}
+    if widths - {n_tasks}:
+        raise CliError(f"the model has {n_tasks} tasks but the dataset has "
+                       f"{'/'.join(map(str, sorted(widths)))}", EXIT_VALIDATION)
+
+
 def _dataset_world(dataset_dir):
     """The generator's ground truth stored next to the day files."""
     return S.read_world_file(os.path.join(dataset_dir, "world.json"))
@@ -148,6 +157,8 @@ def cmd_train(args) -> int:
         expect = T.state_config_hash(cfg.model, cfg.train) if args.config else None
         state = T.load_checkpoint(args.resume, expect_config_hash=expect)
         state.model.check_schema(schema.hash)
+        model_cfg = state.model.config
+    _check_task_count(model_cfg, days)
     _prepare_out_dir(args.out, args.force)
 
     state, rows = (T.resume_experiment(state, days) if args.resume else
@@ -165,18 +176,20 @@ def cmd_train(args) -> int:
         "dataset_config_hash": manifest["config_hash"],
         "variant": state.model.config.variant,
         "seed": state.model.config.seed,
-        "rows": [r.to_dict() for r in rows],
+        "rows": [dataclasses.asdict(r) for r in rows],
         "ecosystem": summary,
     }
     with open(os.path.join(args.out, f"metrics_{tag}.json"), "w") as fh:
         json.dump(metrics, fh, indent=1)
     for r in rows:
         losses = r.train_losses
-        extra = ""
-        if state.model.spec.causal and losses is not None:
-            extra = f" L_C={losses.conformity:.5f} L_R={losses.relevance:.5f}"
-        print(f"day={r.day} holdout_NE={r.ne_aggregated:.5f}"
-              + (f" train_total={losses.total:.5f}" if losses else "") + extra)
+        line = f"day={r.day} holdout_NE={r.ne_aggregated:.5f}"
+        if losses:
+            line += f" train_total={losses['objective']:.5f}"
+        if "conformity_loss" in losses:
+            line += (f" L_C={losses['conformity_loss']:.5f}"
+                     f" L_R={losses['relevance_loss']:.5f}")
+        print(line)
     print(f"checkpoint: {ckpt_path}")
     return EXIT_OK
 
@@ -191,6 +204,7 @@ def cmd_ablate(args) -> int:
         raise CliError(f"ablation needs >= 5 seeds, got {len(seeds)}", EXIT_VALIDATION)
     _, schema, days = _dataset_days(args.dataset)
     world = _dataset_world(args.dataset)
+    _check_task_count(cfg.model, days)
     _prepare_out_dir(args.out, args.force)
 
     variants = args.variants or list(C.VARIANTS)
@@ -275,13 +289,6 @@ def _read_candidates(path):
         raise CliError(f"candidate file {path} has no rows", EXIT_VALIDATION)
     mat = np.array(rows, dtype=np.float64)
     return mat[:, 0].astype(np.int64), mat[:, 1:], meta["schema_hash"]
-
-
-def write_candidates_file(path, item_ids, features, schema_hash):
-    with open(path, "w") as fh:
-        fh.write(f"# schema_hash={schema_hash}\tn_features={features.shape[1]}\n")
-        for item, row in zip(item_ids, features):
-            fh.write(str(int(item)) + "\t" + "\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
 # -- report -------------------------------------------------------------

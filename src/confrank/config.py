@@ -100,11 +100,17 @@ class ModelConfig:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; choose one of {', '.join(VARIANTS)}"
             )
+        if not self.shared_widths or not self.head_widths:
+            raise ConfigError("shared_widths and head_widths need at least one layer")
+        if min(*self.shared_widths, *self.head_widths, self.tower_width, self.embed_dim) < 1:
+            raise ConfigError("every layer width, tower_width and embed_dim must be >= 1")
+        if self.causal_embed_dim < 0:
+            raise ConfigError("causal_embed_dim must be >= 0")
         if self.head_widths[-1] != 1:
             raise ConfigError("task heads must end in a single output")
         if any(w < 0 for w in self.task_weights) or not any(self.task_weights):
             raise ConfigError("task_weights must be >= 0 with at least one > 0")
-        if self.conformity_weight < 0 or self.relevance_weight < 0:
+        if min(self.conformity_weight, self.relevance_weight, self.mixture_weight) < 0:
             raise ConfigError("loss weights must be >= 0")
 
 
@@ -115,6 +121,10 @@ class TrainConfig:
     eps: float = 1e-8
     batch_size: int = 128
     shuffle_seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass

@@ -392,11 +392,10 @@ class Cam2Model:
         return outs, terms
 
     def training_objective(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
-        """The optimized node, the in-order weighted sum of the nonzero-weighted
-        loss_terms, and a numpy LossReport whose total is sum(w_t L_t) +
-        w_C L_C + w_R L_R exactly; the node also carries the small diagnostic
-        mixture term on disjoint parameters."""
-        cfg, causal = self.config, self.spec.causal
+        """(objective, forward outputs, loss_terms dict): the optimized node is
+        the in-order weighted sum of the nonzero-weighted loss_terms, mixture
+        term included, each weighted by its config weight."""
+        cfg = self.config
         outs, terms = self.loss_terms(tape, features, labels, x)
         weights = (*cfg.task_weights, cfg.conformity_weight, cfg.relevance_weight,
                    cfg.mixture_weight)  # zip stops at the task terms for Baseline
@@ -405,17 +404,7 @@ class Cam2Model:
         objective = pieces[0]
         for n in pieces[1:]:
             objective = tape.add(objective, n)
-
-        report_tasks = tuple(float(terms[f"task{t}"].data)
-                             for t in range(len(cfg.task_weights)))
-        l_conf = float(terms["conformity_loss"].data) if causal else 0.0
-        l_rel = float(terms["relevance_loss"].data) if causal else 0.0
-        loss_weights = L.LossWeights(cfg.task_weights, cfg.conformity_weight,
-                                     cfg.relevance_weight)
-        report = L.LossReport(report_tasks, l_conf, l_rel,
-                              L.total_loss(report_tasks, l_conf, l_rel, loss_weights),
-                              len(labels))
-        return objective, outs, report
+        return objective, outs, terms
 
     def _conformity_node(self, tape: Tape, outs: ModelOutputs, c_bar) -> Node:
         s = tape.abs(tape.add(outs.u_hat, outs.i_hat))

@@ -35,11 +35,7 @@ class MetricsRow:
     day: int  # holdout day the NE numbers refer to
     ne_per_task: tuple
     ne_aggregated: float
-    train_losses: L.LossReport | None = None
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+    train_losses: dict  # train_day's record for the day before `day`
 
 
 def state_config_hash(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig) -> str:
@@ -58,8 +54,13 @@ class TrainState:
         self.config_hash = state_config_hash(model.config, train_cfg)
 
 
-def train_day(state: TrainState, day_data: dict) -> L.LossReport:
-    """One seeded-shuffle epoch over a day's events; mutates state in place."""
+def train_day(state: TrainState, day_data: dict) -> dict:
+    """One seeded-shuffle epoch over a day's events; mutates state in place.
+
+    Returns the day's loss record: for each Cam2Model.loss_terms name and for
+    "objective" (the optimized weighted sum), the mean over the day's events
+    of its batch values, each batch weighted by its size. An empty day
+    returns {}."""
     day = day_data["day"]
     if day != state.last_day + 1:
         raise SequencingError(
@@ -67,33 +68,28 @@ def train_day(state: TrainState, day_data: dict) -> L.LossReport:
     n = day_data["features"].shape[0]
     if n == 0:
         state.last_day += 1
-        return L.LossReport((), 0.0, 0.0, 0.0, 0)
+        return {}
 
     state.model.check_schema(day_data["schema_hash"])
     rng = np.random.default_rng([state.train_cfg.shuffle_seed, day])
     perm = rng.permutation(n)
     bs = state.train_cfg.batch_size
 
-    sums = None
+    sums = {}
     for lo in range(0, n, bs):
         idx = perm[lo : lo + bs]
         state.optimizer.zero_grads()
         tape = Tape()
-        objective, _, report = state.model.training_objective(
+        objective, _, terms = state.model.training_objective(
             tape, day_data["features"][idx], day_data["labels"][idx], day_data["x"][idx])
         tape.backward(objective)
         state.optimizer.step()
 
-        w = len(idx)
-        vals = np.array([*report.task, report.conformity, report.relevance,
-                         report.total])
-        sums = (sums[0] + w * vals, sums[1] + w) if sums else (w * vals, w)
+        for name, node in (*terms.items(), ("objective", objective)):
+            sums[name] = sums.get(name, 0.0) + len(idx) * float(node.data)
 
-    mean = sums[0] / sums[1]
-    n_tasks = len(state.model.config.task_weights)
     state.last_day += 1
-    return L.LossReport(tuple(mean[:n_tasks]), mean[n_tasks], mean[n_tasks + 1],
-                        mean[n_tasks + 2], sums[1])
+    return {name: s / n for name, s in sums.items()}
 
 
 def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
@@ -183,8 +179,8 @@ def resume_experiment(state: TrainState, days: list):
     for d in range(len(days) - 1):
         if days[d]["day"] <= state.last_day:
             continue
-        report = train_day(state, days[d])
+        losses = train_day(state, days[d])
         ne, agg = evaluate_ne(state.model, days[d + 1])
         rows.append(MetricsRow(state.model.config.variant, state.model.config.seed,
-                               days[d + 1]["day"], ne, agg, report))
+                               days[d + 1]["day"], ne, agg, losses))
     return state, rows

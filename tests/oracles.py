@@ -34,6 +34,15 @@ def relevance_loss(r_bar, u_x, i_x, squared: bool = False) -> float:
     return float(np.mean(resid.sum(axis=1)))
 
 
+def total_loss(task_losses, l_conf: float, l_rel: float, task_weights,
+               conformity_weight: float, relevance_weight: float) -> float:
+    """sum_t w_t L_t + w_C L_C + w_R L_R, the weighted task and causal terms."""
+    if len(task_losses) != len(task_weights):
+        raise ValueError(f"{len(task_losses)} task losses for {len(task_weights)} weights")
+    total = sum(w * l for w, l in zip(task_weights, task_losses))
+    return float(total + conformity_weight * l_conf + relevance_weight * l_rel)
+
+
 def mixture_decomposition(p_conf, p_rel, w1: float, w2: float):
     """Pr(t) = w1 * Pr(t|Conformity) + w2 * Pr(t|Relevance)."""
     return w1 * np.asarray(p_conf, dtype=np.float64) + w2 * np.asarray(p_rel, dtype=np.float64)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import conformity_loss, mixture_decomposition, relevance_loss
+from oracles import conformity_loss, mixture_decomposition, relevance_loss, total_loss
 from confrank import cli
 from confrank import evalrank as E
 from confrank import losses as L
@@ -168,8 +168,7 @@ def test_criterion_3_loss_formula_oracles():
     assert relevance_loss([[1, 0]], [[0.5, 0.5]], [[1, 0]]) == pytest.approx(0.5, abs=1e-9)
     assert relevance_loss([[1, 1, 0]], [[0.8, 0.5, 0.1]],
                           [[1, 1, 1]]) == pytest.approx(0.8, abs=1e-9)
-    w = L.LossWeights((2.0, 4.0), 1.0, 0.5)
-    assert L.total_loss((0.5, 0.25), 0.1, 0.2, w) == pytest.approx(2.2, abs=1e-9)
+    assert total_loss((0.5, 0.25), 0.1, 0.2, (2.0, 4.0), 1.0, 0.5) == pytest.approx(2.2, abs=1e-9)
     blend = mixture_decomposition(0.3, 0.8, 0.25, 0.75)
     assert blend == pytest.approx(0.25 * 0.3 + 0.75 * 0.8, abs=1e-9)
 
@@ -202,7 +201,8 @@ def test_criterion_4_determinism_and_warm_start(micro_setup, tmp_path):
         path = str(tmp_path / f"{tag}.json")
         T.save_checkpoint(state, path)
         paths.append(path)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
 
     part, _ = T.run_experiment(model_cfg, tc, days[:3], schema,
                                audit_first_batch=False)
@@ -212,8 +212,8 @@ def test_criterion_4_determinism_and_warm_start(micro_setup, tmp_path):
     T.resume_experiment(resumed, days)
     cont = str(tmp_path / "resumed.json")
     T.save_checkpoint(resumed, cont)
-    straight = json.load(open(paths[0]))
-    warm = json.load(open(cont))
+    with open(paths[0]) as a, open(cont) as b:
+        straight, warm = json.load(a), json.load(b)
     assert straight == warm  # bitwise: params, Adam state, step counts
 
 
@@ -390,7 +390,8 @@ def test_criterion_9_end_to_end_pipeline(tmp_path, capsys):
     assert elapsed < 600.0, f"pipeline took {elapsed:.0f}s"
 
     # variant-comparison-shaped table: NE cell populated for the trained run
-    summary = json.load(open(os.path.join(out, "report.json")))
+    with open(os.path.join(out, "report.json")) as fh:
+        summary = json.load(fh)
     assert summary["ne"]["Proposed"]["median_ne"] > 0
     # age-bucket-shaped table: every bucket cell populated
     for bucket in ("[0-1 day)", "[1-3 days)", "[3-10 days)", "[10+ days)"):

@@ -424,7 +424,8 @@ class TestAdam:
         opt = Adam([p], lr=0.01)
         p.grad = np.array([1.0])
         opt.step()
-        saved = opt.state_dict()
+        saved = {name: {"m": st["m"].copy(), "v": st["v"].copy(), "t": st["t"]}
+                 for name, st in opt.state.items()}
 
         q = make_param("w", p.value.copy())
         opt2 = Adam([q], lr=0.01)
@@ -437,7 +438,7 @@ class TestAdam:
 
     def test_unequal_step_counts_refused(self):
         opt = Adam([make_param("p", [0.0]), make_param("q", [1.0])])
-        state = opt.state_dict()
+        state = {name: dict(st) for name, st in opt.state.items()}
         state["q"]["t"] = 3
         with pytest.raises(ValueError, match="unequal step counts"):
             opt.load_state_dict(state)

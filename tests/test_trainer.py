@@ -29,9 +29,9 @@ class TestTrainDay:
         empty = {"schema_hash": schema.hash, "day": 0,
                  "features": np.zeros((0, schema.arity())),
                  "labels": np.zeros((0, 3), dtype=np.int64), "x": np.zeros(0)}
-        report = T.train_day(fresh_state, empty)
+        losses = T.train_day(fresh_state, empty)
         assert fresh_state.last_day == 0
-        assert report.batch_size == 0
+        assert losses == {}
         for name, val in params_of(fresh_state).items():
             assert np.array_equal(val, before[name])
 
@@ -43,12 +43,12 @@ class TestTrainDay:
         day["x"] = day["x"][:32]
         from confrank.autodiff import Tape
         model = fresh_state.model
-        _, _, before = model.training_objective(Tape(), day["features"],
+        before, _, _ = model.training_objective(Tape(), day["features"],
                                                 day["labels"], day["x"])
         T.train_day(fresh_state, day)
-        _, _, after = model.training_objective(Tape(), day["features"],
+        after, _, _ = model.training_objective(Tape(), day["features"],
                                                day["labels"], day["x"])
-        assert after.total < before.total
+        assert float(after.data) < float(before.data)
 
     def test_day_sequencing_enforced(self, fresh_state, tiny_dataset):
         _, _, _, _, days = tiny_dataset
@@ -92,8 +92,22 @@ class TestRunExperiment:
         _, _, schema, _, days = tiny_dataset
         cfg = tiny_model_config(variant="Baseline")
         _, rows = T.run_experiment(cfg, TrainConfig(batch_size=64), days[:2], schema)
-        assert rows[0].train_losses.conformity == 0.0
-        assert rows[0].train_losses.relevance == 0.0
+        assert set(rows[0].train_losses) == {"task0", "task1", "task2", "objective"}
+
+    def test_objective_is_weighted_sum_of_term_means(self, tiny_dataset):
+        """The record's objective is the day mean of the optimized objective:
+        every loss_terms mean, mixture_loss included, times its weight."""
+        _, _, schema, _, days = tiny_dataset
+        cfg = tiny_model_config(variant="Proposed")
+        _, rows = T.run_experiment(cfg, TrainConfig(batch_size=64), days[:2], schema)
+        losses = rows[0].train_losses
+        weights = {f"task{t}": w for t, w in enumerate(cfg.task_weights)}
+        weights.update(conformity_loss=cfg.conformity_weight,
+                       relevance_loss=cfg.relevance_weight,
+                       mixture_loss=cfg.mixture_weight)
+        assert set(losses) == {*weights, "objective"}
+        expected = sum(w * losses[name] for name, w in weights.items())
+        assert losses["objective"] == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_holdout_raises(self, tiny_dataset):
         _, _, schema, _, days = tiny_dataset
