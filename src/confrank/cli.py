@@ -19,7 +19,7 @@ from . import config as C
 from . import evalrank as E
 from . import serialize as S
 from . import trainer as T
-from .datagen import DayLog, History, generate_world, simulate_days
+from .datagen import generate_world, simulate_days
 from .schema import default_schema, read_schema_file, write_schema_file
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 1, 2, 3
@@ -207,46 +207,15 @@ def cmd_ablate(args) -> int:
     _check_task_count(cfg.model, days)
     _prepare_out_dir(args.out, args.force)
 
-    variants = args.variants or list(C.VARIANTS)
-    result = E.ablation_run(cfg.model, cfg.train, days, schema, seeds, variants)
-    replay, probes = _replay_and_probes(result.pop("models"), result["seeds"], world,
-                                        days, schema, cfg.eval)
+    result = E.ablation_run(cfg.model, cfg.train, cfg.eval, world, days, schema, seeds,
+                            args.variants)
     table_text = E.render_ablation_table(result)
     with open(os.path.join(args.out, "ablation.txt"), "w") as fh:
         fh.write(table_text + "\n")
-    failures = {f"{v}/{s}": m for (v, s), m in result["failures"].items()}
-    serializable = dict(result, failures=failures, replay=replay, probes=probes)
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
-        json.dump(serializable, fh, indent=1)
+        json.dump(result, fh, indent=1)
     print(table_text)
-    if result["failures"]:
-        print(f"warning: {len(result['failures'])} runs failed (partial results)")
     return EXIT_OK
-
-
-def _replay_and_probes(models, seeds, world, days, schema, eval_cfg) -> tuple:
-    """Per seed, on the last dataset day: counterfactual replay of every
-    trained variant, with history folded from the earlier days only, and
-    causal-embedding probes of each causal variant on the day's first
-    eval_cfg.probe_samples rows. `models` maps (variant, seed) to a model."""
-    history = History.empty(world.n_users, world.n_items)
-    for d in days[:-1]:
-        history.update(DayLog(d["day"], d["user_ids"], d["item_ids"], d["labels"], d["x"],
-                              d["features"], d["conformity_component"],
-                              d["relevance_component"]), world)
-    last, n = days[-1], eval_cfg.probe_samples
-    replay, probes = {}, {}
-    for seed in seeds:
-        by_variant = {v: m for (v, s), m in models.items() if s == seed}
-        rep = E.counterfactual_replay(by_variant, world, history, schema, eval_cfg,
-                                      day=last["day"], seed=seed)
-        replay[seed] = {v: {"counts": r["counts"], "total_engagement": r["total_engagement"]}
-                        for v, r in rep.items()}
-        probes[seed] = {
-            v: E.disentanglement_probe(m, world, last["features"][:n],
-                                       last["user_ids"][:n], last["item_ids"][:n])
-            for v, m in by_variant.items() if m.spec.causal}
-    return replay, probes
 
 
 # -- rank ---------------------------------------------------------------
@@ -392,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--dataset", required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--seeds", type=int, nargs="+", default=None)
-    a.add_argument("--variants", nargs="+", default=None)
+    a.add_argument("--variants", nargs="+", default=None, choices=list(C.VARIANTS))
     a.add_argument("--force", action="store_true")
     a.set_defaults(func=cmd_ablate)
 

@@ -125,6 +125,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not (self.lr > 0 and self.eps > 0):
+            raise ConfigError("lr and eps must be > 0")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError("betas must be two values in [0, 1)")
 
 
 @dataclass
@@ -158,7 +162,23 @@ def to_dict(cfg) -> dict:
     return _to_jsonable(cfg)
 
 
+# the JSON types a field accepts, by the type of its default
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+            tuple: (list, tuple)}
+
+
+def _check_type(where: str, value, default):
+    if type(value) not in _ACCEPTS[type(default)]:
+        raise ConfigError(f"{where} must be {type(default).__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+    if isinstance(default, tuple) and default:
+        for v in value:
+            _check_type(f"each of {where}", v, default[0])
+
+
 def _from_dict(cls, data: dict):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be a mapping, got {type(data).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -168,10 +188,12 @@ def _from_dict(cls, data: dict):
         if f.name not in data:
             continue
         v = data[f.name]
-        if dataclasses.is_dataclass(f.default_factory() if f.default_factory is not dataclasses.MISSING else None):
-            v = _from_dict(type(f.default_factory()), v)
-        elif isinstance(v, list):
-            v = tuple(v)
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            v = _from_dict(type(default), v)
+        else:
+            _check_type(f"{cls.__name__}.{f.name}", v, default)
+            v = tuple(v) if isinstance(default, tuple) else v
         kwargs[f.name] = v
     return cls(**kwargs)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import trainer as T
 from .config import EvalConfig, ModelConfig, TrainConfig, VARIANTS
-from .datagen import World, derive_features, engagement_probability
+from .datagen import DayLog, History, World, derive_features, engagement_probability
 from .model import Cam2Model
 from .schema import Schema
 
@@ -223,12 +223,16 @@ def aggregate_ne(rows) -> float:
     return float(np.mean([r.ne_aggregated for r in rows]))
 
 
-def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, days: list,
-                 schema: Schema, seeds, variants=None) -> dict:
-    """run_experiment for every (variant, seed); NE deltas vs same-seed Baseline.
+def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig,
+                 world: World, days: list, schema: Schema, seeds, variants=None) -> dict:
+    """The whole variant comparison: run_experiment for every (variant, seed),
+    NE deltas against the same-seed Baseline, then per seed, on the last day,
+    counterfactual replay of every trained variant (history folded from the
+    earlier days only) and probes of each causal variant's embeddings on the
+    day's first eval_cfg.probe_samples rows.
 
-    The result also holds the trained models under "models", keyed by
-    (variant, seed), so later analyses need not train them again.
+    Returns {seeds, variants, table, replay, probes}. A failing run is not
+    caught: its error ends the sweep.
     """
     variants = list(variants) if variants else list(VARIANTS)
     seeds = list(seeds)
@@ -237,43 +241,47 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, days: list,
     if "Baseline" not in variants:
         variants = ["Baseline"] + variants
 
-    runs, models, failed = {}, {}, {}
+    runs, models = {}, {seed: {} for seed in seeds}
     for variant in variants:
         for seed in seeds:
             cfg = dataclasses.replace(model_cfg, variant=variant, seed=seed)
-            try:
-                state, rows = T.run_experiment(cfg, train_cfg, days, schema)
-                runs[(variant, seed)] = aggregate_ne(rows)
-                models[(variant, seed)] = state.model
-            except Exception as e:  # partial-result flag, not a crash
-                failed[(variant, seed)] = repr(e)
+            state, rows = T.run_experiment(cfg, train_cfg, days, schema)
+            runs[(variant, seed)] = aggregate_ne(rows)
+            models[seed][variant] = state.model
 
     table = {}
     for variant in variants:
         per_seed = {}
-        deltas = []
         for seed in seeds:
-            key = (variant, seed)
-            base = runs.get(("Baseline", seed))
-            if key in failed or base is None:
-                per_seed[seed] = {"ne": None, "delta_pct": None,
-                                  "error": failed.get(key, "baseline failed")}
-                continue
-            ne = runs[key]
-            delta = 100.0 * (ne - base) / base
-            per_seed[seed] = {"ne": ne, "delta_pct": delta}
-            deltas.append(delta)
+            ne, base = runs[(variant, seed)], runs[("Baseline", seed)]
+            per_seed[seed] = {"ne": ne, "delta_pct": 100.0 * (ne - base) / base}
+        deltas = [cell["delta_pct"] for cell in per_seed.values()]
         table[variant] = {
             "per_seed": per_seed,
-            "median_ne": float(np.median([v["ne"] for v in per_seed.values()
-                                          if v["ne"] is not None])) if deltas or variant == "Baseline" else None,
-            "median_delta_pct": float(np.median(deltas)) if deltas else None,
+            "median_ne": float(np.median([cell["ne"] for cell in per_seed.values()])),
+            "median_delta_pct": float(np.median(deltas)),
             "sign_test": paired_sign_test(deltas),
             "reference_delta_pct": REFERENCE_DELTAS_PCT.get(variant),
-            "partial": any("error" in v for v in per_seed.values()),
         }
-    return {"seeds": seeds, "variants": variants, "table": table, "failures": failed,
-            "models": models}
+
+    history = History.empty(world.n_users, world.n_items)
+    for d in days[:-1]:
+        history.update(DayLog(d["day"], d["user_ids"], d["item_ids"], d["labels"], d["x"],
+                              d["features"], d["conformity_component"],
+                              d["relevance_component"]), world)
+    last, n = days[-1], eval_cfg.probe_samples
+    replay, probes = {}, {}
+    for seed in seeds:
+        rep = counterfactual_replay(models[seed], world, history, schema, eval_cfg,
+                                    day=last["day"], seed=seed)
+        replay[seed] = {v: {"counts": r["counts"], "total_engagement": r["total_engagement"]}
+                        for v, r in rep.items()}
+        probes[seed] = {
+            v: disentanglement_probe(m, world, last["features"][:n],
+                                     last["user_ids"][:n], last["item_ids"][:n])
+            for v, m in models[seed].items() if m.spec.causal}
+    return {"seeds": seeds, "variants": variants, "table": table, "replay": replay,
+            "probes": probes}
 
 
 # -- rendering ----------------------------------------------------------
@@ -287,14 +295,10 @@ def render_ablation_table(result: dict) -> str:
     lines.append("-" * len(header))
     for variant in result["variants"]:
         row = result["table"][variant]
-        med = f"{row['median_ne']:.5f}" if row["median_ne"] is not None else "FAILED"
-        if variant == "Baseline":
-            delta, ref = "+0.000%", "--"
-        else:
-            delta = (f"{row['median_delta_pct']:+.3f}%"
-                     if row["median_delta_pct"] is not None else "FAILED")
-            ref = (f"{row['reference_delta_pct']:+.3f}%"
-                   if row["reference_delta_pct"] is not None else "--")
+        med = f"{row['median_ne']:.5f}"
+        delta = f"{row['median_delta_pct']:+.3f}%"  # Baseline's is exactly +0.000%
+        ref = (f"{row['reference_delta_pct']:+.3f}%"
+               if row["reference_delta_pct"] is not None else "--")
         st = row["sign_test"]
         lines.append(f"{variant:<12} {med:>10} {delta:>13} "
                      f"{st['negative']}/{st['n']:>10} {ref:>31}")

@@ -255,6 +255,12 @@ MALFORMED_RUNS = {
     "negative_causal_embed_dim": {"model": {"causal_embed_dim": -1}},
     "more_task_weights_than_tasks": {"model": {"task_weights": [1, 1, 1, 1]}},
     "fewer_task_weights_than_tasks": {"model": {"task_weights": [1, 1]}},
+    # a value whose type differs from its field's default, or outside Adam's range
+    "float_batch_size": {"train": {"batch_size": 1.5}},
+    "scalar_shared_widths": {"model": {"shared_widths": 16}},
+    "negative_lr": {"train": {"lr": -1}},
+    "zero_eps": {"train": {"eps": 0}},
+    "beta_above_one": {"train": {"betas": [1.5, 0.999]}},
 }
 
 
@@ -303,7 +309,6 @@ class TestAblate:
         base = result["table"]["Baseline"]
         assert all(cell["delta_pct"] == 0.0 for cell in base["per_seed"].values())
         assert len(base["per_seed"]) == 5
-        assert not result["failures"]
         seeds = [str(s) for s in TINY_CONFIG["seeds"]]
         assert sorted(result["replay"]) == sorted(result["probes"]) == seeds
         for seed in seeds:
@@ -328,6 +333,28 @@ class TestAblate:
                                          cfg.eval, day=logs[-1].day, seed=seed)
         assert result["replay"][str(seed)]["Proposed"]["counts"] == {
             str(q): c for q, c in direct["Proposed"]["counts"].items()}
+
+    def test_failed_run_ends_the_sweep(self, cli_env, tmp_path, monkeypatch, capsys):
+        """A run that raises stops `ablate` with exit 3 and no ablation.json."""
+        _, cfg_path, data_dir = cli_env
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(T, "run_experiment", boom)
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(out)]) == 3
+        assert "run failed" in capsys.readouterr().err
+        assert not (out / "ablation.json").exists()
+
+    def test_unknown_variant_is_a_usage_error(self, cli_env, tmp_path, capsys):
+        _, cfg_path, data_dir = cli_env
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(out), "--variants", "Proposed", "Bogus"]) == 1
+        assert "invalid choice: 'Bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_seeds(self, cli_env, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env

@@ -192,27 +192,29 @@ class TestReplayAndSignTest:
         assert out["a"]["counts"] == out["b"]["counts"]
 
 
+SMALL_EVAL = EvalConfig(replay_users=20, replay_candidates=30, replay_k=5, probe_samples=200)
+
+
 class TestAblationRun:
     def test_baseline_delta_zero_every_seed(self, tiny_dataset):
-        _, _, schema, _, days = tiny_dataset
+        _, world, schema, _, days = tiny_dataset
         cfg = tiny_model_config()
-        result = E.ablation_run(cfg, TrainConfig(batch_size=64), days[:2], schema,
-                                seeds=range(5), variants=["Baseline"])
+        result = E.ablation_run(cfg, TrainConfig(batch_size=64), SMALL_EVAL, world,
+                                days[:2], schema, seeds=range(5), variants=["Baseline"])
         row = result["table"]["Baseline"]
         for seed, cell in row["per_seed"].items():
             assert cell["delta_pct"] == 0.0
-        assert not row["partial"]
 
     def test_too_few_seeds_rejected(self, tiny_dataset):
-        _, _, schema, _, days = tiny_dataset
+        _, world, schema, _, days = tiny_dataset
         with pytest.raises(E.EvalError, match="seeds"):
-            E.ablation_run(tiny_model_config(), TrainConfig(), days[:2], schema,
-                           seeds=[0, 1])
+            E.ablation_run(tiny_model_config(), TrainConfig(), SMALL_EVAL, world,
+                           days[:2], schema, seeds=[0, 1])
 
     def test_render_contains_all_variants_and_reference(self, tiny_dataset):
-        _, _, schema, _, days = tiny_dataset
+        _, world, schema, _, days = tiny_dataset
         result = E.ablation_run(tiny_model_config(), TrainConfig(batch_size=64),
-                                days[:2], schema, seeds=range(5),
+                                SMALL_EVAL, world, days[:2], schema, seeds=range(5),
                                 variants=["Baseline", "Proposed"])
         text = E.render_ablation_table(result)
         assert "Baseline" in text and "Proposed" in text
