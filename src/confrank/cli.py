@@ -179,8 +179,8 @@ def cmd_train(args) -> int:
         "rows": [dataclasses.asdict(r) for r in rows],
         "ecosystem": summary,
     }
-    with open(os.path.join(args.out, f"metrics_{tag}.json"), "w") as fh:
-        json.dump(metrics, fh, indent=1)
+    S.write_atomic(os.path.join(args.out, f"metrics_{tag}.json"),
+                   [json.dumps(metrics, indent=1).encode()])
     for r in rows:
         losses = r.train_losses
         line = f"day={r.day} holdout_NE={r.ne_aggregated:.5f}"
@@ -199,9 +199,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    seeds = cfg.seeds if args.seeds is None else tuple(args.seeds)
-    if len(seeds) < 5:
-        raise CliError(f"ablation needs >= 5 seeds, got {len(seeds)}", EXIT_VALIDATION)
+    seeds = E.check_seeds(cfg.seeds if args.seeds is None else args.seeds)  # a ValueError exits 2
     _, schema, days = _dataset_days(args.dataset)
     world = _dataset_world(args.dataset)
     _check_task_count(cfg.model, days)

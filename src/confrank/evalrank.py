@@ -223,6 +223,17 @@ def aggregate_ne(rows) -> float:
     return float(np.mean([r.ne_aggregated for r in rows]))
 
 
+def check_seeds(seeds) -> list:
+    """The seeds of a paired comparison as a list: at least 5, none repeated."""
+    seeds = list(seeds)
+    if len(seeds) < 5:
+        raise EvalError(f"need at least 5 seeds for the paired comparison, got {len(seeds)}")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise EvalError(f"seed {repeated} is repeated in the paired comparison")
+    return seeds
+
+
 def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig,
                  world: World, days: list, schema: Schema, seeds, variants=None) -> dict:
     """The whole variant comparison: run_experiment for every (variant, seed),
@@ -235,9 +246,7 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
     caught: its error ends the sweep.
     """
     variants = list(variants) if variants else list(VARIANTS)
-    seeds = list(seeds)
-    if len(seeds) < 5:
-        raise EvalError(f"need at least 5 seeds for the paired comparison, got {len(seeds)}")
+    seeds = check_seeds(seeds)
     if "Baseline" not in variants:
         variants = ["Baseline"] + variants
 

@@ -135,11 +135,8 @@ def save_checkpoint(state: TrainState, path):
         "schema": [list(dataclasses.astuple(s)) for s in state.model.schema.specs],
         "schema_hash": state.model.schema_hash,
         "last_day": state.last_day,
-        "params": {p.name: S.pack_array(p.value) for p in state.model.parameters()},
-        "adam": {
-            name: {"m": S.pack_array(st["m"]), "v": S.pack_array(st["v"]), "t": st["t"]}
-            for name, st in state.optimizer.state.items()
-        },
+        "params": {p.name: p.value for p in state.model.parameters()},
+        "adam": state.optimizer.state,
     }
     S.save_container(path, payload)
 
@@ -158,15 +155,12 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     for p in model.parameters():
         if p.name not in payload["params"]:
             raise S.CheckpointError(f"checkpoint missing parameter {p.name}")
-        arr = S.unpack_array(payload["params"][p.name])
+        arr = payload["params"][p.name]
         if arr.shape != p.value.shape:
             raise S.CheckpointError(f"parameter {p.name} shape mismatch")
         p.value = arr
     state = TrainState(model, train_cfg)
-    state.optimizer.load_state_dict({
-        name: {"m": S.unpack_array(st["m"]), "v": S.unpack_array(st["v"]), "t": st["t"]}
-        for name, st in payload["adam"].items()
-    })
+    state.optimizer.load_state_dict(payload["adam"])
     state.last_day = payload["last_day"]
     return state
 

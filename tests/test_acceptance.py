@@ -213,9 +213,8 @@ def test_criterion_4_determinism_and_warm_start(micro_setup, tmp_path):
     T.resume_experiment(resumed, days)
     cont = str(tmp_path / "resumed.json")
     T.save_checkpoint(resumed, cont)
-    with open(paths[0]) as a, open(cont) as b:
-        straight, warm = json.load(a), json.load(b)
-    assert straight == warm  # bitwise: params, Adam state, step counts
+    with open(paths[0], "rb") as a, open(cont, "rb") as b:
+        assert a.read() == b.read()  # bitwise: params, Adam state, step counts
 
 
 # -- 5. variant comparison sign pattern --------------------------------

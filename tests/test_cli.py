@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from containers import read_v3, rewrite_as_version, write_v3
 
 from confrank import cli
 from confrank import evalrank as E
@@ -39,17 +40,6 @@ def write_candidates_file(path, item_ids, features, schema_hash):
         fh.write(f"# schema_hash={schema_hash}\tn_features={features.shape[1]}\n")
         for item, row in zip(item_ids, features):
             fh.write(str(int(item)) + "\t" + "\t".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _rewrite_as_v1(path):
-    """Rewrite a container in the version-1 layout: the same document, its
-    sha256 taken over the sorted-key, compact re-encoding of the payload."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-    doc.update(version=1, sha256=hashlib.sha256(canon.encode()).hexdigest())
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
 
 
 @pytest.fixture(scope="session")
@@ -191,18 +181,28 @@ class TestTrain:
     def test_v1_day_file_refused(self, cli_env, tmp_path, capsys):
         """A version-1 day file, listed in a manifest that matches it, is
         refused as a dataset, naming the version."""
+        self._old_day_file_refused(cli_env, tmp_path, capsys, version=1)
+
+    def test_v2_day_file_refused(self, cli_env, tmp_path, capsys):
+        """The same for a version-2 day file (base64 arrays inside JSON)."""
+        self._old_day_file_refused(cli_env, tmp_path, capsys, version=2)
+
+    @staticmethod
+    def _old_day_file_refused(cli_env, tmp_path, capsys, version):
         _, cfg_path, data_dir = cli_env
         import shutil
-        old = tmp_path / "v1_days"
+        old = tmp_path / f"v{version}_days"
         shutil.copytree(data_dir, old)
-        _rewrite_as_v1(old / S.day_filename(1))
+        rewrite_as_version(old / S.day_filename(1), version)
         manifest = S.load_manifest(data_dir)
         S.write_manifest(str(old), manifest["config_hash"], manifest["schema_hash"],
                          list(manifest["files"]))
+        out = tmp_path / "o"
         assert cli.main(["train", "--config", cfg_path, "--dataset", str(old),
-                         "--out", str(tmp_path / "o")]) == 2
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "dataset refused" in err and "version 1" in err
+        assert "dataset refused" in err and f"version {version} container" in err
+        assert not out.exists()
 
     def test_resume_refuses_other_config(self, cli_env, trained_run, tmp_path, capsys):
         _, _, data_dir = cli_env
@@ -237,12 +237,8 @@ class TestTrain:
                          str(part / "checkpoint_Proposed_3.json")]) == 0
         capsys.readouterr()
 
-        straight = S.load_container(
-            str(trained_run[0] / "checkpoint_Proposed_3.json"),
-            fmt="confrank-checkpoint")
-        warm = S.load_container(str(resumed / "checkpoint_Proposed_3.json"),
-                                fmt="confrank-checkpoint")
-        assert straight == warm
+        straight = trained_run[0] / "checkpoint_Proposed_3.json"
+        assert straight.read_bytes() == (resumed / "checkpoint_Proposed_3.json").read_bytes()
 
 
 # Each of these exits 2 before the output directory is made.
@@ -362,6 +358,22 @@ class TestAblate:
                          "--out", str(tmp_path / "o"), "--seeds", "0", "1"]) == 2
         assert "5 seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config_file"])
+    def test_repeated_seed_refused(self, cli_env, tmp_path, capsys, source):
+        """Five copies of one seed are one seed: refused before --out is made."""
+        _, cfg_path, data_dir = cli_env
+        argv = ["--seeds", "0", "0", "0", "0", "0"]
+        if source == "config_file":
+            cfg_path = tmp_path / "repeated.json"
+            cfg_path.write_text(json.dumps({**TINY_CONFIG, "seeds": [0, 1, 2, 3, 1]}))
+            argv = []
+        out = tmp_path / "o"
+        assert cli.main(["ablate", "--config", str(cfg_path), "--dataset", data_dir,
+                         "--out", str(out), "--variants", "Proposed", *argv]) == 2
+        repeated = 0 if source == "flag" else 1
+        assert f"seed {repeated} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRank:
     @pytest.fixture()
@@ -434,13 +446,35 @@ class TestRank:
         assert message in captured.err and not captured.out
 
     def test_v1_checkpoint_refused(self, ckpt, candidates, tmp_path, capsys):
+        self._old_checkpoint_refused(ckpt, candidates, tmp_path, capsys, version=1)
+
+    def test_v2_checkpoint_refused(self, ckpt, candidates, tmp_path, capsys):
+        """A version-2 checkpoint (base64 arrays inside JSON) exits 2 naming
+        its version: retrain."""
+        self._old_checkpoint_refused(ckpt, candidates, tmp_path, capsys, version=2)
+
+    @staticmethod
+    def _old_checkpoint_refused(ckpt, candidates, tmp_path, capsys, version):
         import shutil
-        old = tmp_path / "v1.json"
+        old = tmp_path / f"v{version}.json"
         shutil.copy(ckpt, old)
-        _rewrite_as_v1(old)
+        rewrite_as_version(old, version)
         assert cli.main(["rank", "--checkpoint", str(old), "--candidates", candidates]) == 2
         captured = capsys.readouterr()
-        assert "version 1" in captured.err and not captured.out
+        assert f"version {version} container" in captured.err and not captured.out
+
+    def test_descriptor_past_the_section_refused(self, ckpt, candidates, tmp_path, capsys):
+        """A checksum-valid checkpoint whose first array descriptor points past
+        the array section exits 2, not 3."""
+        doc, _, section = read_v3(ckpt)
+        payload = doc["payload"]
+        first = next(iter(payload["params"].values()))
+        first["offset"] = len(section) // 64 * 64 + 64
+        bad = tmp_path / "past.json"
+        write_v3(bad, doc["format"], json.dumps(payload).encode(), section)
+        assert cli.main(["rank", "--checkpoint", str(bad), "--candidates", candidates]) == 2
+        captured = capsys.readouterr()
+        assert "outside its section" in captured.err and not captured.out
 
     def test_missing_checkpoint(self, cli_env, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", "/nonexistent.json",

@@ -161,10 +161,10 @@ class TestCheckpoint:
     def test_tampered_byte_detected(self, fresh_state, tmp_path):
         path = tmp_path / "ckpt.json"
         T.save_checkpoint(fresh_state, path)
-        blob = path.read_text()
-        target = '"last_day": -1'
-        assert target in blob
-        path.write_text(blob.replace(target, '"last_day": 99'))
+        blob = path.read_bytes()
+        target = b'"last_day": -1'
+        assert blob.count(target) == 1
+        path.write_bytes(blob.replace(target, b'"last_day": 99'))
         with pytest.raises(CheckpointError, match="checksum"):
             T.load_checkpoint(path)
 
