@@ -13,19 +13,17 @@ from confrank import serialize as S
 from confrank.datagen import DayLog
 
 
-ARRAYS = st.one_of(
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
-               elements=st.floats(width=64)),
-    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)))
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    elements=st.floats(width=64))
+INT_ARRAYS = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+ARRAYS = st.one_of(FLOAT_ARRAYS, INT_ARRAYS)
 
 
-@given(st.lists(ARRAYS, min_size=1, max_size=4))
-@example([np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]), np.array(-0.0), np.zeros((0, 3)),
-          np.zeros((2, 0), dtype=np.int64)])
-def test_container_round_trip_bitwise(tmp_path_factory, arrays):
-    """float64 and int64 arrays of any shape, 0-d and 0-size included, at
-    any depth of nested dicts, load back byte-equal as writable aligned views."""
-    path = str(tmp_path_factory.getbasetemp() / "round_trip.json")
+def _assert_container_round_trip(path, arrays):
+    """The arrays, at any depth of nested dicts, load back byte-equal as
+    writable aligned views of their dtype and shape."""
     payload = {"first": arrays[0], "n": len(arrays),
                "nested": {"deeper": {str(i): a for i, a in enumerate(arrays)}}}
     S.save_container(path, payload, fmt="confrank-test")
@@ -36,6 +34,27 @@ def test_container_round_trip_bitwise(tmp_path_factory, arrays):
         assert out.dtype == want.dtype and out.shape == want.shape
         assert out.tobytes() == want.tobytes()
         assert out.flags.writeable and out.flags.aligned
+
+
+@given(FLOAT_ARRAYS, st.lists(ARRAYS, max_size=3))
+@example(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+         [np.array(-0.0), np.zeros((0, 3)), np.zeros((2, 0), dtype=np.int64)])
+def test_pack_unpack_floats_bitwise(tmp_path_factory, first, rest):
+    """float64 arrays of any shape, 0-d and 0-size included, with NaN, inf
+    and -0.0 kept bit for bit, beside arrays of either dtype."""
+    path = str(tmp_path_factory.getbasetemp() / "round_trip_floats.json")
+    _assert_container_round_trip(path, [first, *rest])
+
+
+@given(INT_ARRAYS, st.lists(ARRAYS, max_size=3))
+@example(np.array(-1, dtype=np.int64),
+         [np.zeros((0,), dtype=np.int64), np.array([np.iinfo(np.int64).min,
+                                                    np.iinfo(np.int64).max])])
+def test_pack_unpack_ints_bitwise(tmp_path_factory, first, rest):
+    """int64 arrays of any shape, 0-d and 0-size included, beside arrays of
+    either dtype."""
+    path = str(tmp_path_factory.getbasetemp() / "round_trip_ints.json")
+    _assert_container_round_trip(path, [first, *rest])
 
 
 def test_container_round_trip(tmp_path):
