@@ -523,6 +523,15 @@ class Adam:
         self._value -= np.divide(step, denom, out=b)
 
     def load_state_dict(self, state: dict):
+        """Moments and step count from `state`, which must name exactly this
+        optimizer's parameters; otherwise ValueError names the first that
+        is missing, then the first unknown one."""
+        for name in self._moments:
+            if name not in state:
+                raise ValueError(f"optimizer state has no entry for parameter {name!r}")
+        for name in state:
+            if name not in self._moments:
+                raise ValueError(f"optimizer state has an entry for unknown parameter {name!r}")
         steps = {int(st["t"]) for st in state.values()}
         if len(steps) > 1:
             raise ValueError(f"optimizer state has unequal step counts {sorted(steps)}")

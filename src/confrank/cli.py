@@ -69,6 +69,10 @@ def _check_task_count(model_cfg: C.ModelConfig, days):
                        f"{'/'.join(map(str, sorted(widths)))}", EXIT_VALIDATION)
 
 
+def _write_text(path, text: str):
+    S.write_atomic(path, [text.encode()])
+
+
 def _dataset_world(dataset_dir):
     """The generator's ground truth stored next to the day files."""
     return S.read_world_file(os.path.join(dataset_dir, "world.json"))
@@ -179,8 +183,7 @@ def cmd_train(args) -> int:
         "rows": [dataclasses.asdict(r) for r in rows],
         "ecosystem": summary,
     }
-    S.write_atomic(os.path.join(args.out, f"metrics_{tag}.json"),
-                   [json.dumps(metrics, indent=1).encode()])
+    _write_text(os.path.join(args.out, f"metrics_{tag}.json"), json.dumps(metrics, indent=1))
     for r in rows:
         losses = r.train_losses
         line = f"day={r.day} holdout_NE={r.ne_aggregated:.5f}"
@@ -208,10 +211,8 @@ def cmd_ablate(args) -> int:
     result = E.ablation_run(cfg.model, cfg.train, cfg.eval, world, days, schema, seeds,
                             args.variants)
     table_text = E.render_ablation_table(result)
-    with open(os.path.join(args.out, "ablation.txt"), "w") as fh:
-        fh.write(table_text + "\n")
-    with open(os.path.join(args.out, "ablation.json"), "w") as fh:
-        json.dump(result, fh, indent=1)
+    _write_text(os.path.join(args.out, "ablation.txt"), table_text + "\n")
+    _write_text(os.path.join(args.out, "ablation.json"), json.dumps(result, indent=1))
     print(table_text)
     return EXIT_OK
 
@@ -317,10 +318,8 @@ def cmd_report(args) -> int:
 
     text = "\n".join(lines)
     print(text)
-    with open(os.path.join(args.metrics, "report.txt"), "w") as fh:
-        fh.write(text + "\n")
-    with open(os.path.join(args.metrics, "report.json"), "w") as fh:
-        json.dump(summary, fh, indent=1)
+    _write_text(os.path.join(args.metrics, "report.txt"), text + "\n")
+    _write_text(os.path.join(args.metrics, "report.json"), json.dumps(summary, indent=1))
     return EXIT_OK
 
 

@@ -86,10 +86,12 @@ class _Builder:
         self.group = group
         self.params = []
 
-    def dense(self, name: str, fan_in: int, fan_out: int):
+    def dense(self, name: str, fan_in: int, fan_out: int, trainable: bool = True):
+        """Glorot weights, zero bias; an untrainable pair is drawn alike but not kept."""
         w = Parameter(f"{self.group}/{name}/w", glorot_uniform(self.rng, fan_in, fan_out))
         b = Parameter(f"{self.group}/{name}/b", np.zeros(fan_out))
-        self.params += [w, b]
+        if trainable:
+            self.params += [w, b]
         return w, b
 
     def embedding(self, name: str, vocab: int, dim: int) -> EmbeddingTable:
@@ -149,15 +151,17 @@ class _CausalModule:
     """Two residual towers plus prediction heads and an embedding projection.
 
     Only the losses read the heads, so a gradless tape skips them (None).
+    Only task losses can reach the projection, so behind a stop-gradient it
+    is a seeded constant, not a parameter.
     """
 
-    def __init__(self, b: _Builder, name: str, user_width: int, item_width: int,
+    def __init__(self, b: _Builder, name: str, stop_grad: bool, user_width: int, item_width: int,
                  tower_width: int, blocks: int, head_out: int, d_e: int):
         self.user_tower = _ResidualTower(b, f"{name}/user", user_width, tower_width, blocks)
         self.item_tower = _ResidualTower(b, f"{name}/item", item_width, tower_width, blocks)
         self.user_head = b.dense(f"{name}/user_head", tower_width, head_out)
         self.item_head = b.dense(f"{name}/item_head", tower_width, head_out)
-        self.proj = b.dense(f"{name}/embed", 2 * tower_width, d_e)
+        self.proj = b.dense(f"{name}/embed", 2 * tower_width, d_e, trainable=not stop_grad)
 
     def __call__(self, tape: Tape, user_in: Node, item_in: Node):
         up = self.user_tower(tape, user_in)
@@ -202,7 +206,7 @@ class Cam2Model:
             cm = _Builder(cfg.seed, "conformity", 2)
             self._conf_inputs = self._tower_inputs(cm, bucket_c)
             self.conformity = _CausalModule(
-                cm, "module",
+                cm, "module", spec.stop_grad,
                 self._input_width(self._conf_inputs, "user"),
                 self._input_width(self._conf_inputs, "item"),
                 cfg.tower_width, cfg.tower_blocks, 1, cfg.causal_embed_dim)
@@ -211,7 +215,7 @@ class Cam2Model:
             rm = _Builder(cfg.seed, "relevance", 3)
             self._rel_inputs = self._tower_inputs(rm, bucket_r)
             self.relevance = _CausalModule(
-                rm, "module",
+                rm, "module", spec.stop_grad,
                 self._input_width(self._rel_inputs, "user"),
                 self._input_width(self._rel_inputs, "item"),
                 cfg.tower_width, cfg.tower_blocks, self.k_topics, cfg.causal_embed_dim)
@@ -344,17 +348,13 @@ class Cam2Model:
     def _mixture(self, tape: Tape, out: ModelOutputs, flags: np.ndarray) -> Node:
         """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel) given the item
         topic flags; only the two mixture logits receive gradient from its
-        loss."""
-        topics = tape.constant(flags)
-        p_conf = tape.clip(tape.abs(tape.add(tape.stop_gradient(out.u_hat),
-                                             tape.stop_gradient(out.i_hat))),
-                           L.PROB_CLIP, 1.0 - L.PROB_CLIP)
-        prod = tape.mul(tape.stop_gradient(out.u_x), tape.stop_gradient(out.i_x))
-        masked = tape.mul(prod, topics)
-        denom = np.maximum(topics.data.sum(axis=1), 1.0)
-        p_rel = tape.clip(tape.mul(tape.sum(masked, axis=1),
-                                   tape.constant(1.0 / denom)),
-                          L.PROB_CLIP, 1.0 - L.PROB_CLIP)
+        loss, so Pr(t|Conf) and Pr(t|Rel) are arrays off stop-gradient reads."""
+        lo, hi = L.PROB_CLIP, 1.0 - L.PROB_CLIP
+        u_hat, i_hat, u_x, i_x = (tape.stop_gradient(n).data
+                                  for n in (out.u_hat, out.i_hat, out.u_x, out.i_x))
+        p_conf = tape.constant(np.clip(np.abs(u_hat + i_hat), lo, hi))
+        denom = np.maximum(flags.sum(axis=1), 1.0)
+        p_rel = tape.constant(np.clip((u_x * i_x * flags).sum(axis=1) * (1.0 / denom), lo, hi))
         w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, 2]
         w1 = tape.sum(tape.slice_cols(w, 0, 1), axis=1)  # [1]
         w2 = tape.sum(tape.slice_cols(w, 1, 2), axis=1)

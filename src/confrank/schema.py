@@ -151,10 +151,11 @@ def default_schema(k_topics: int = DEFAULT_TOPICS, n_age_buckets: int = 6,
 
 
 def write_schema_file(schema: Schema, path):
-    with open(path, "w") as fh:
-        fh.write("# name\tencoding\tbucket\twidth\tvocab_size\n")
-        for s in schema.specs:
-            fh.write(f"{s.name}\t{s.encoding}\t{s.bucket}\t{s.width}\t{s.vocab_size}\n")
+    from .serialize import write_atomic  # serialize imports datagen, which imports schema
+
+    text = "# name\tencoding\tbucket\twidth\tvocab_size\n" + "".join(
+        f"{s.name}\t{s.encoding}\t{s.bucket}\t{s.width}\t{s.vocab_size}\n" for s in schema.specs)
+    write_atomic(path, [text.encode()])
 
 
 def read_schema_file(path) -> Schema:

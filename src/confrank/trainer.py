@@ -152,6 +152,12 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
     train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
     model = Cam2Model(model_cfg, schema)
+    names = {p.name for p in model.parameters()}
+    for name in payload["params"]:
+        if name not in names:
+            raise S.CheckpointError(
+                f"checkpoint holds parameter {name!r}, which a {model_cfg.variant} "
+                "model does not have")
     for p in model.parameters():
         if p.name not in payload["params"]:
             raise S.CheckpointError(f"checkpoint missing parameter {p.name}")

@@ -30,6 +30,15 @@ def write_v3(path, fmt, text: bytes, section: bytes):
         fh.write(line + b" " * (-(len(line) + 1) % 64) + b"\n" + section)
 
 
+def rewrite_payload(src, dst, edit):
+    """Write to dst a re-signed copy of the version-3 container src whose
+    payload edit(payload) has changed in place. The array section is kept
+    as it is, so an edit may drop descriptors or add ones into it."""
+    doc, _, section = read_v3(src)
+    edit(doc["payload"])
+    write_v3(dst, doc["format"], json.dumps(doc["payload"]).encode(), section)
+
+
 def _base64_arrays(node):
     """A version-1/2 payload: every array as a {shape, dtype, data} dict,
     data the base64 of its little-endian bytes."""

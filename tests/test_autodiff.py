@@ -443,6 +443,23 @@ class TestAdam:
         with pytest.raises(ValueError, match="unequal step counts"):
             opt.load_state_dict(state)
 
+    @pytest.mark.parametrize("edit,message", [
+        ("drop_q", "no entry for parameter 'q'"),
+        ("empty", "no entry for parameter 'p'"),
+        ("extra_r", "unknown parameter 'r'"),
+    ])
+    def test_state_must_name_exactly_the_parameters(self, edit, message):
+        opt = Adam([make_param("p", [0.0]), make_param("q", [1.0])])
+        state = {name: dict(st) for name, st in opt.state.items()}
+        if edit == "drop_q":
+            del state["q"]
+        elif edit == "empty":
+            state = {}
+        else:
+            state["r"] = dict(state["q"])
+        with pytest.raises(ValueError, match=message):
+            opt.load_state_dict(state)
+
     def test_setters_copy_into_the_buffer_view(self):
         p = make_param("w", np.zeros((2, 3)))
         Adam([p])

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from containers import read_v3, rewrite_as_version, write_v3
+from containers import read_v3, rewrite_as_version, rewrite_payload, write_v3
 
 from confrank import cli
 from confrank import evalrank as E
@@ -493,6 +493,28 @@ class TestReport:
         summary = json.loads((out / "report.json").read_text())
         assert "Proposed" in summary["ne"]
 
+    def test_failed_rename_keeps_the_old_report(self, trained_run, tmp_path, monkeypatch,
+                                                capsys):
+        import shutil
+        metrics = tmp_path / "m"
+        metrics.mkdir()
+        for path in trained_run[0].glob("metrics_*.json"):
+            shutil.copy(path, metrics)
+        old = b'{"old": "report"}'
+        (metrics / "report.json").write_bytes(old)
+        replace = os.replace
+
+        def refuse_report_json(src, dst):
+            if os.fspath(dst).endswith("report.json"):
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_report_json)
+        assert cli.main(["report", "--metrics", str(metrics)]) == 3
+        assert (metrics / "report.json").read_bytes() == old
+        assert (metrics / "report.txt").exists()
+        assert not [f for f in os.listdir(metrics) if f.endswith(".tmp")]
+
     def test_empty_metrics_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
         assert "no metrics" in capsys.readouterr().err
@@ -548,6 +570,44 @@ def test_container_without_payload_keys_is_validation_error(cli_env, tmp_path, c
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "'config_hash'" in err and "runtime error" not in err
+
+
+def _add_projection_arrays(payload):
+    """The tiny Proposed checkpoint as it was while the causal-embedding
+    projections were parameters: their four arrays in params and adam."""
+    t = next(iter(payload["adam"].values()))["t"]
+    for module in ("conformity", "relevance"):
+        for wb, shape in (("w", [16, 4]), ("b", [4])):
+            desc = {"$array": "<f8", "shape": shape, "offset": 0}
+            payload["params"][f"{module}/module/embed/{wb}"] = desc
+            payload["adam"][f"{module}/module/embed/{wb}"] = {"m": desc, "v": desc, "t": t}
+
+
+@pytest.mark.parametrize("command", ["rank", "train"])
+@pytest.mark.parametrize("case", ["projection_params", "empty_adam"])
+def test_checkpoint_arrays_must_match_the_model(cli_env, trained_run, tmp_path, capsys,
+                                                command, case):
+    """A checksum-valid checkpoint holding an array the model lacks, or an
+    optimizer state missing one, exits 2 naming that array, not 3: a
+    Proposed checkpoint from before the projection became a constant, and
+    one whose adam is {} (it would resume from a cold optimizer)."""
+    _, _, data_dir = cli_env
+    ckpt = trained_run[0] / "checkpoint_Proposed_3.json"
+    if case == "projection_params":
+        edit, name = _add_projection_arrays, "conformity/module/embed/w"
+    else:
+        edit = lambda payload: payload.update(adam={})  # noqa: E731
+        name = next(iter(read_v3(ckpt)[0]["payload"]["params"]))
+    bad = tmp_path / "ckpt.json"
+    rewrite_payload(ckpt, bad, edit)
+    out = tmp_path / "o"
+    argv = (["rank", "--checkpoint", str(bad), "--candidates", str(tmp_path / "c.tsv")]
+            if command == "rank" else
+            ["train", "--dataset", data_dir, "--out", str(out), "--resume", str(bad)])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err and "runtime error" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,fmt,payload,key", [

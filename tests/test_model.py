@@ -8,8 +8,10 @@ from conftest import tiny_model_config
 from oracles import (conformity_loss, mixture_decomposition, mixture_weights, relevance_loss,
                      total_loss)
 from confrank import losses as L
+from confrank import serialize as S
+from confrank import trainer as T
 from confrank.autodiff import Tape
-from confrank.config import VARIANTS, ModelConfig
+from confrank.config import VARIANTS, ModelConfig, TrainConfig
 from confrank.labels import causal_labels
 from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
                             check_decoupling, gradient_provenance)
@@ -86,6 +88,48 @@ class TestBuild:
         opt.zero_grads()
         assert not any(np.any(p.grad) for p in params)
 
+    @pytest.mark.parametrize("variant", ["Proposed", "TaskArch", "AllFeats", "JointLoss"])
+    def test_only_jointloss_trains_the_embedding_projection(self, batch, tmp_path, variant):
+        """Behind a stop-gradient the projection is a constant: in no
+        parameter list, group, optimizer or checkpoint. JointLoss trains it."""
+        schema, *_ = batch
+        state = T.TrainState(build(schema, variant=variant), TrainConfig())
+        model = state.model
+        T.save_checkpoint(state, tmp_path / "ckpt.json")
+        payload = S.load_container(tmp_path / "ckpt.json")
+        embed = {f"{g}/module/embed/{wb}" for g in ("conformity", "relevance")
+                 for wb in "wb"}
+        held = [
+            {p.name for p in model.parameters()},
+            {p.name for ps in model.groups().values() for p in ps},
+            {p.name for p in state.optimizer.params},
+            set(payload["params"]),
+            set(payload["adam"]),
+        ]
+        for names in held:
+            assert (names & embed) == (embed if variant == "JointLoss" else set())
+
+    def test_frozen_projection_is_the_seeded_init_and_stays_put(self, tiny_dataset):
+        _, _, schema, _, days = tiny_dataset
+        joint = build(schema, variant="JointLoss")
+        state, _ = T.run_experiment(tiny_model_config(variant="Proposed"),
+                                    TrainConfig(batch_size=32), days, schema)
+        prop = state.model
+        for module in ("conformity", "relevance"):
+            frozen = getattr(prop, module).proj
+            for p, q in zip(frozen, getattr(joint, module).proj):
+                assert p.name == q.name
+                assert p.value.tobytes() == q.value.tobytes(), p.name
+                assert not np.any(p.grad), p.name
+
+    def test_jointloss_minus_proposed_is_the_two_projections(self, batch):
+        schema, *_ = batch
+        cfg = ModelConfig()
+        total = lambda v: sum(p.value.size for p in
+                              Cam2Model(dataclasses.replace(cfg, variant=v), schema).parameters())
+        d_e, width = cfg.causal_embed_dim, cfg.tower_width
+        assert total("JointLoss") - total("Proposed") == 2 * (2 * width * d_e + d_e)
+
     def test_empty_statistical_bucket_rejected(self):
         schema = validate_schema([
             FeatureSpec("user_a", DENSE, ATTRIBUTE),
@@ -107,10 +151,9 @@ class TestForward:
         schema, features, *_ = batch
         model = build(schema, variant="Proposed")
         before = model.predict(features)
-        # perturb the embedding projections: a consumed input must change p_t
-        for p in model.groups()["conformity"] + model.groups()["relevance"]:
-            if p.name.endswith("embed/w") or p.name.endswith("embed/b"):
-                p.value = p.value + 0.5
+        # perturb the (frozen) embedding projections: a consumed input must change p_t
+        for p in (*model.conformity.proj, *model.relevance.proj):
+            p.value = p.value + 0.5
         after = model.predict(features)
         assert not np.allclose(before, after)
 
