@@ -48,8 +48,17 @@ class EmbeddingIndexError(IndexError):
     """Raised on an out-of-vocabulary embedding lookup."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """np.clip(x, lo, hi) for float64 x, NaN and infinities included,
+    without np.clip's Python dispatch."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 class Node:
@@ -61,7 +70,8 @@ class Node:
     __slots__ = ("data", "grad", "needs_grad")
 
     def __init__(self, data, needs_grad: bool = False):
-        self.data = _as_f64(data)
+        # an exact float64 ndarray is kept as is; anything else converts
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else _as_f64(data)
         self.grad = None
         self.needs_grad = needs_grad
 
@@ -266,7 +276,7 @@ class Tape:
 
     def clip(self, a: Node, lo: float, hi: float) -> Node:
         """Clamp values; gradient passes through only where unclipped."""
-        out = Node(np.clip(a.data, lo, hi), a.needs_grad)
+        out = Node(clamp(a.data, lo, hi), a.needs_grad)
         if out.needs_grad:
             def back(g):
                 _accum(a, g * ((a.data > lo) & (a.data < hi)))
@@ -329,7 +339,7 @@ class Tape:
         with p clipped to [lo, hi]. One node, with the float ops, in their
         order, of the chain clip, log, mul, sub, add, mean and scale by -1."""
         y = _as_f64(y)
-        pc = np.clip(p.data, lo, hi)
+        pc = clamp(p.data, lo, hi)
         not_y, not_pc = 1.0 - y, 1.0 - pc
         s = y * np.log(pc) + not_y * np.log(not_pc)
         c = 1.0 / s.size
@@ -524,21 +534,38 @@ class Adam:
 
     def load_state_dict(self, state: dict):
         """Moments and step count from `state`, which must name exactly this
-        optimizer's parameters; otherwise ValueError names the first that
-        is missing, then the first unknown one."""
+        optimizer's parameters, each with a mapping holding an integer step
+        count "t" >= 0 and moments "m" and "v" of the parameter's shape;
+        otherwise ValueError names the first parameter and key at fault.
+        Nothing is loaded unless all of it is valid."""
         for name in self._moments:
             if name not in state:
                 raise ValueError(f"optimizer state has no entry for parameter {name!r}")
         for name in state:
             if name not in self._moments:
                 raise ValueError(f"optimizer state has an entry for unknown parameter {name!r}")
+        for name, st in state.items():
+            if not isinstance(st, dict):
+                raise ValueError(f"optimizer state for parameter {name!r} is not a mapping")
+            t = st.get("t")
+            if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
+                raise ValueError(f"optimizer state for parameter {name!r} has no integer "
+                                 f"step count 't' >= 0 (got {t!r})")
+            shape = self._moments[name][0].shape
+            for key in ("m", "v"):
+                arr = st.get(key)
+                if not (isinstance(arr, np.ndarray) and arr.shape == shape):
+                    got = (f"shape {arr.shape}" if isinstance(arr, np.ndarray)
+                           else type(arr).__name__)
+                    raise ValueError(f"optimizer state for parameter {name!r} has {key!r} "
+                                     f"of {got}, not an array of shape {shape}")
         steps = {int(st["t"]) for st in state.values()}
         if len(steps) > 1:
             raise ValueError(f"optimizer state has unequal step counts {sorted(steps)}")
         for name, st in state.items():
             m, v = self._moments[name]
-            m[...] = _as_f64(st["m"]).reshape(m.shape)
-            v[...] = _as_f64(st["v"]).reshape(v.shape)
+            m[...] = _as_f64(st["m"])
+            v[...] = _as_f64(st["v"])
         if steps:
             self.t = steps.pop()
 

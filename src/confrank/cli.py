@@ -168,6 +168,7 @@ def cmd_train(args) -> int:
     state, rows = (T.resume_experiment(state, days) if args.resume else
                    T.run_experiment(model_cfg, cfg.train, days, schema,
                                     audit_first_batch=True))
+    T.check_finite_ne(rows)  # a diverged run writes nothing, and exits 3
 
     tag = f"{state.model.config.variant}_{state.model.config.seed}"
     ckpt_path = os.path.join(args.out, f"checkpoint_{tag}.json")

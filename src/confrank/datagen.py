@@ -194,19 +194,49 @@ def derive_x(history: History) -> np.ndarray:
 
 
 def _zscore_columns(mat: np.ndarray) -> np.ndarray:
-    mean = mat.mean(axis=0)
-    std = mat.std(axis=0)
+    """Columns of mat minus their mean over their sd (1 where the sd is
+    below 1e-12): the float ops of mat.mean(0) and mat.std(0), in order,
+    without their Python wrappers."""
+    n = mat.shape[0]
+    mean = np.add.reduce(mat, axis=0) / n
+    dev = mat - mean
+    std = np.sqrt(np.add.reduce(dev * dev, axis=0) / n)
     std = np.where(std > 1e-12, std, 1.0)
-    return (mat - mean) / std
+    return dev / std
+
+
+# The five statistical engagement features, in the column order of the
+# z-scored block derive_features builds them in.
+STAT_FEATURES = ("item_impression_count", "item_view_count", "item_ctr_est",
+                 "user_engagement_count", "user_social_rate")
+
+
+def _check_feature_schema(world: World, schema: Schema):
+    """Refuse a schema whose features are not exactly the ten, at the
+    widths, that derive_features writes."""
+    k = world.topics.shape[1]
+    want = {**dict.fromkeys(STAT_FEATURES, 1), "user_age_bucket": 1,
+            "user_interest_weights": k, "item_topic_flags": k, "item_quality": 1,
+            "content_type": 1}
+    have = {name: sl.stop - sl.start for name, sl in schema.slices.items()}
+    if have != want:
+        extra = sorted(have.keys() - want.keys())
+        missing = sorted(want.keys() - have.keys())
+        widths = sorted(n for n in have.keys() & want.keys() if have[n] != want[n])
+        raise DataGenError(
+            "schema does not match the generator's features: "
+            f"unknown {extra}, missing {missing}, wrong width {widths}")
 
 
 def derive_features(world: World, history: History, users, items,
                     schema: Schema) -> np.ndarray:
-    """Raw feature rows (schema order) from strictly-prior-day history.
+    """Raw feature rows from strictly-prior-day history, each feature in
+    the columns the schema gives it.
 
     Dense columns come back z-scored over the given batch (the generator
     calls this once per day, so 'per day' normalization falls out).
     """
+    _check_feature_schema(world, schema)
     n = len(users)
     if n == 0:
         return np.zeros((0, schema.arity()))
@@ -223,15 +253,16 @@ def derive_features(world: World, history: History, users, items,
     # Statistical engagement columns are the nonstationary ones; they get the
     # per-day z-score. Attribute columns stay in natural units (topic flags
     # must remain binary so causal labels are derivable from dataset rows).
-    out = np.column_stack([
-        _zscore_columns(stat),
-        world.age_bucket[users].reshape(n, 1).astype(np.float64),
-        world.interests[users],
-        world.topics[items],
-        world.quality[items].reshape(n, 1),
-        world.content_type[items].reshape(n, 1).astype(np.float64),
-    ])
-    assert out.shape[1] == schema.arity()
+    out = np.empty((n, schema.arity()))
+    at = schema.slices
+    z = _zscore_columns(stat)
+    for j, name in enumerate(STAT_FEATURES):
+        out[:, at[name]] = z[:, j : j + 1]
+    out[:, at["user_age_bucket"]] = world.age_bucket[users].reshape(n, 1)
+    out[:, at["user_interest_weights"]] = world.interests[users]
+    out[:, at["item_topic_flags"]] = world.topics[items]
+    out[:, at["item_quality"]] = world.quality[items].reshape(n, 1)
+    out[:, at["content_type"]] = world.content_type[items].reshape(n, 1)
     return out
 
 

@@ -45,8 +45,9 @@ class RankedList:
 def final_score(task_probs, combine_weights=()) -> np.ndarray:
     """Weighted sum of per-task probabilities; default weights all one."""
     p = np.atleast_2d(np.asarray(task_probs, dtype=np.float64))
-    w = np.asarray(combine_weights if len(combine_weights) else np.ones(p.shape[1]),
-                   dtype=np.float64)
+    if not len(combine_weights):
+        return p @ np.ones(p.shape[1])
+    w = np.asarray(combine_weights, dtype=np.float64)
     if w.shape[0] != p.shape[1]:
         raise EvalError(f"{w.shape[0]} combine weights for {p.shape[1]} tasks")
     if np.any(w < 0) or not np.any(w > 0):
@@ -243,7 +244,8 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
     day's first eval_cfg.probe_samples rows.
 
     Returns {seeds, variants, table, replay, probes}. A failing run is not
-    caught: its error ends the sweep.
+    caught: its error ends the sweep, as does a run with a non-finite NE
+    (trainer.NonFiniteMetricError).
     """
     variants = list(variants) if variants else list(VARIANTS)
     seeds = check_seeds(seeds)
@@ -255,6 +257,7 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
         for seed in seeds:
             cfg = dataclasses.replace(model_cfg, variant=variant, seed=seed)
             state, rows = T.run_experiment(cfg, train_cfg, days, schema)
+            T.check_finite_ne(rows)
             runs[(variant, seed)] = aggregate_ne(rows)
             models[seed][variant] = state.model
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as L
-from .autodiff import Adam, EmbeddingTable, Node, Parameter, Tape, glorot_uniform
+from .autodiff import Adam, EmbeddingTable, Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
 from .schema import Schema
@@ -75,6 +75,17 @@ class ModelOutputs:
     i_x: Node | None = None  # [n, k] per-topic item membership
     e_conf: Node | None = None  # [n, d_e]
     e_rel: Node | None = None  # [n, d_e]
+
+
+def _column_index(cols: list):
+    """An index for the feature columns cols: a slice if they are one
+    ascending contiguous run, so gathering them is a view; otherwise an
+    intp array; None if there are none."""
+    if not cols:
+        return None
+    if cols == list(range(cols[0], cols[0] + len(cols))):
+        return slice(cols[0], cols[0] + len(cols))
+    return np.array(cols, dtype=np.intp)
 
 
 class _Builder:
@@ -182,7 +193,8 @@ class Cam2Model:
         self.spec = VARIANTS[config.variant]
         self.schema = schema
         self.schema_hash = schema.hash
-        self.k_topics = len(schema.dense_cols["item_topic_flags"])
+        flags = schema.slices["item_topic_flags"]
+        self.k_topics = flags.stop - flags.start
         self._groups = {g: [] for g in GROUPS}
         self._build()
 
@@ -192,13 +204,9 @@ class Cam2Model:
         cfg, spec = self.config, self.spec
 
         sb = _Builder(cfg.seed, "shared_bottom", 0)
-        self._sb_dense_cols = self.schema.dense_for()
-        self._sb_cats = self.schema.cats_for()
-        self._sb_embeds = {
-            s.name: sb.embedding(s.name, s.vocab_size, cfg.embed_dim) for s in self._sb_cats
-        }
-        sb_in = len(self._sb_dense_cols) + cfg.embed_dim * len(self._sb_cats)
-        self.shared_bottom = _Mlp(sb, "mlp", sb_in, cfg.shared_widths, relu_last=True)
+        self._sb_inputs = self._input_block(sb, self.schema.dense_for(), self.schema.cats_for())
+        self.shared_bottom = _Mlp(sb, "mlp", self._sb_inputs[1], cfg.shared_widths,
+                                  relu_last=True)
         self._groups["shared_bottom"] = sb.params
 
         if spec.causal:
@@ -242,20 +250,22 @@ class Cam2Model:
             for t in range(len(cfg.task_weights))]
         self._groups["task_heads"] = th.params
 
-    def _tower_inputs(self, builder: _Builder, bucket):
-        """Per-side (dense column list, [(spec, table)]) for a causal module."""
-        out = {}
-        for side in ("user", "item"):
-            dense_cols = self.schema.dense_for(bucket, side)
-            cats = self.schema.cats_for(bucket, side)
-            tables = [(s, builder.embedding(f"{side}/{s.name}", s.vocab_size,
-                                            self.config.embed_dim)) for s in cats]
-            out[side] = (dense_cols, tables)
-        return out
+    def _input_block(self, builder: _Builder, dense_cols: list, cats: list, prefix: str = ""):
+        """(dense column index, input width, [(categorical name, table)]) of
+        one input block; the tables are named prefix + feature name."""
+        dim = self.config.embed_dim
+        tables = [(s.name, builder.embedding(prefix + s.name, s.vocab_size, dim)) for s in cats]
+        return _column_index(dense_cols), len(dense_cols) + dim * len(cats), tables
 
-    def _input_width(self, inputs, side) -> int:
-        dense_cols, tables = inputs[side]
-        return len(dense_cols) + self.config.embed_dim * len(tables)
+    def _tower_inputs(self, builder: _Builder, bucket):
+        """Per-side input block (see _input_block) for a causal module."""
+        return {side: self._input_block(builder, self.schema.dense_for(bucket, side),
+                                        self.schema.cats_for(bucket, side), f"{side}/")
+                for side in ("user", "item")}
+
+    @staticmethod
+    def _input_width(inputs, side) -> int:
+        return inputs[side][1]
 
     # -- parameters -----------------------------------------------------
 
@@ -292,14 +302,16 @@ class Cam2Model:
                 f"{self.schema.arity()}")
         return features
 
-    def _gather_input(self, tape: Tape, features: np.ndarray, dense_cols,
-                      cat_tables) -> Node:
+    @staticmethod
+    def _gather_input(tape: Tape, features: np.ndarray, indices: dict, block) -> Node:
+        """One input block's node: its dense columns, then an embedding per
+        categorical, looked up with the row's indices from `indices`."""
+        dense_index, _, tables = block
         pieces = []
-        if dense_cols:
-            pieces.append(tape.constant(features[:, dense_cols]))
-        for spec, table in cat_tables:
-            idx = features[:, self.schema.cat_col[spec.name]].astype(np.int64)
-            pieces.append(tape.embedding(table, idx))
+        if dense_index is not None:
+            pieces.append(tape.constant(features[:, dense_index]))
+        for name, table in tables:
+            pieces.append(tape.embedding(table, indices[name]))
         if not pieces:
             return tape.constant(np.zeros((features.shape[0], 0)))
         return pieces[0] if len(pieces) == 1 else tape.concat(pieces, axis=1)
@@ -307,21 +319,23 @@ class Cam2Model:
     def forward(self, tape: Tape, features: np.ndarray,
                 schema_hash: str | None = None) -> ModelOutputs:
         features = self._checked(features, schema_hash)
-        sb_cat_tables = [(s, self._sb_embeds[s.name]) for s in self._sb_cats]
-        sb_in = self._gather_input(tape, features, self._sb_dense_cols, sb_cat_tables)
-        shared_out = self.shared_bottom(tape, sb_in)
+        # each categorical column as int64 once, for every table that reads it
+        indices = {name: features[:, col].astype(np.int64)
+                   for name, col in self.schema.cat_col.items()}
+        shared_out = self.shared_bottom(
+            tape, self._gather_input(tape, features, indices, self._sb_inputs))
 
         out = ModelOutputs(task_probs=[])
         spec = self.spec
         if spec.causal:
             u_hat, i_hat, e_conf = self.conformity(
                 tape,
-                self._gather_input(tape, features, *self._conf_inputs["user"]),
-                self._gather_input(tape, features, *self._conf_inputs["item"]))
+                self._gather_input(tape, features, indices, self._conf_inputs["user"]),
+                self._gather_input(tape, features, indices, self._conf_inputs["item"]))
             u_x, i_x, e_rel = self.relevance(
                 tape,
-                self._gather_input(tape, features, *self._rel_inputs["user"]),
-                self._gather_input(tape, features, *self._rel_inputs["item"]))
+                self._gather_input(tape, features, indices, self._rel_inputs["user"]),
+                self._gather_input(tape, features, indices, self._rel_inputs["item"]))
             if tape.recording:
                 out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
                 out.u_x, out.i_x = u_x, i_x
@@ -352,17 +366,16 @@ class Cam2Model:
         lo, hi = L.PROB_CLIP, 1.0 - L.PROB_CLIP
         u_hat, i_hat, u_x, i_x = (tape.stop_gradient(n).data
                                   for n in (out.u_hat, out.i_hat, out.u_x, out.i_x))
-        p_conf = tape.constant(np.clip(np.abs(u_hat + i_hat), lo, hi))
+        p_conf = tape.constant(clamp(np.abs(u_hat + i_hat), lo, hi))
         denom = np.maximum(flags.sum(axis=1), 1.0)
-        p_rel = tape.constant(np.clip((u_x * i_x * flags).sum(axis=1) * (1.0 / denom), lo, hi))
+        p_rel = tape.constant(clamp((u_x * i_x * flags).sum(axis=1) * (1.0 / denom), lo, hi))
         w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, 2]
         w1 = tape.sum(tape.slice_cols(w, 0, 1), axis=1)  # [1]
         w2 = tape.sum(tape.slice_cols(w, 1, 2), axis=1)
         return tape.add(tape.mul(w1, p_conf), tape.mul(w2, p_rel))
 
     def topic_flags(self, features: np.ndarray) -> np.ndarray:
-        cols = self.schema.dense_cols["item_topic_flags"]
-        return np.asarray(features, dtype=np.float64)[:, cols]
+        return np.asarray(features, dtype=np.float64)[:, self.schema.slices["item_topic_flags"]]
 
     # -- losses ---------------------------------------------------------
 

@@ -55,34 +55,36 @@ class Schema:
     """Validated, ordered feature list with a stable content hash.
 
     Also the one owner of the column layout of a raw feature row: dense
-    features take `width` columns, categoricals one column each.
+    features take `width` columns, categoricals one column each. The layout
+    and the hash are computed once, at construction; `specs` is not changed
+    afterwards.
     """
 
     specs: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.dense_cols = {}  # name -> [column indices]
-        self.cat_col = {}  # name -> column index
+        self.slices = {}  # name -> slice of the feature's columns
+        self.cat_col = {}  # categorical name -> its column index
         pos = 0
         for s in self.specs:
-            if s.encoding == DENSE:
-                self.dense_cols[s.name] = list(range(pos, pos + s.width))
-                pos += s.width
-            else:
+            width = s.width if s.encoding == DENSE else 1
+            self.slices[s.name] = slice(pos, pos + width)
+            if s.encoding == CATEGORICAL:
                 self.cat_col[s.name] = pos
-                pos += 1
+            pos += width
         self._arity = pos
         cats = self.cats_for()
         self._cat_cols = np.array([self.cat_col[s.name] for s in cats], dtype=np.int64)
         self._vocab = np.array([s.vocab_size for s in cats], dtype=np.float64)
-
-    @property
-    def hash(self) -> str:
         canon = "\n".join(
             f"{s.name}|{s.encoding}|{s.bucket}|{s.width}|{s.vocab_size}"
             for s in self.specs
         )
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        self._hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    @property
+    def hash(self) -> str:
+        return self._hash
 
     def arity(self) -> int:
         """Raw vector length: dense widths plus one slot per categorical."""
@@ -95,7 +97,8 @@ class Schema:
 
     def dense_for(self, bucket=None, side=None) -> list:
         """Column indices of the dense features in a bucket / on a side."""
-        return [c for s in self._select(DENSE, bucket, side) for c in self.dense_cols[s.name]]
+        columns = range(self._arity)
+        return [c for s in self._select(DENSE, bucket, side) for c in columns[self.slices[s.name]]]
 
     def cats_for(self, bucket=None, side=None) -> list:
         """Specs of the categorical features in a bucket / on a side."""

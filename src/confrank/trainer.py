@@ -28,6 +28,10 @@ class SequencingError(ValueError):
     """Days must be trained strictly in order, each exactly once."""
 
 
+class NonFiniteMetricError(RuntimeError):
+    """A holdout NE is NaN or infinite: the run diverged or read bad data."""
+
+
 @dataclass
 class MetricsRow:
     variant: str
@@ -100,6 +104,16 @@ def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
         for t in range(preds.shape[1])
     )
     return ne, float(np.mean(ne))
+
+
+def check_finite_ne(rows: list):
+    """Raise NonFiniteMetricError at the first MetricsRow whose NE, per task
+    or aggregated, is not finite."""
+    for r in rows:
+        if not np.all(np.isfinite((*r.ne_per_task, r.ne_aggregated))):
+            raise NonFiniteMetricError(
+                f"{r.variant} seed {r.seed}: holdout day {r.day} NE is not finite "
+                f"(aggregated {r.ne_aggregated}, per task {list(r.ne_per_task)})")
 
 
 def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,

@@ -1,8 +1,10 @@
-"""Plain-array reference forms of the loss formulas, for tests only.
+"""Plain-array reference forms, for tests only.
 
-The training path builds these formulas on the autodiff tape
+The training path builds the loss formulas on the autodiff tape
 (`confrank.model.Cam2Model.loss_terms`); the tests check the tape's values
-against the forms here.
+against the forms here. The feature row, clip and cross-entropy references
+are the straightforward numpy forms that the faster code must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -55,3 +57,51 @@ def mixture_weights(logits) -> tuple:
     e = np.exp(z)
     w = e / e.sum()
     return float(w[0]), float(w[1])
+
+
+def zscore_columns(mat):
+    """Each column minus its mean over its sd (1 where the sd is below 1e-12)."""
+    std = mat.std(axis=0)
+    return (mat - mat.mean(axis=0)) / np.where(std > 1e-12, std, 1.0)
+
+
+def derive_features(world, history, users, items, schema):
+    """The generator's feature rows in the default schema's column order,
+    built column block by column block with np.column_stack."""
+    n = len(users)
+    if n == 0:
+        return np.zeros((0, schema.arity()))
+    imps = history.item_impressions[items].astype(np.float64)
+    clicks = history.item_clicks[items].astype(np.float64)
+    stat = np.column_stack([
+        np.log1p(imps),
+        np.log1p(history.item_views[items].astype(np.float64)),
+        (clicks + 1.0) / (imps + 2.0),
+        np.log1p(history.user_engagements[users].astype(np.float64)),
+        (history.user_social[users] + 1.0) / (history.user_impressions[users] + 2.0),
+    ])
+    return np.column_stack([
+        zscore_columns(stat),
+        world.age_bucket[users].reshape(n, 1).astype(np.float64),
+        world.interests[users],
+        world.topics[items],
+        world.quality[items].reshape(n, 1),
+        world.content_type[items].reshape(n, 1).astype(np.float64),
+    ])
+
+
+def clip(x, lo, hi, g):
+    """(np.clip(x, lo, hi), gradient g passed only where lo < x < hi)."""
+    return np.clip(x, lo, hi), g * ((x > lo) & (x < hi))
+
+
+def bce(p, y, lo, hi, g=1.0):
+    """(mean binary cross-entropy of np.clip(p, lo, hi) against y, its
+    gradient in p scaled by g), by the float ops of the clip, log, mul, sub,
+    add, mean and scale-by--1 chain."""
+    pc = np.clip(p, lo, hi)
+    s = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
+    c = 1.0 / s.size
+    gs = np.full_like(s, (g * -1.0) * c)
+    d = -((gs * (1.0 - y)) / (1.0 - pc)) + (gs * y) / pc
+    return (s.sum() * c) * -1.0, d * ((p > lo) & (p < hi))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import finite_difference_grad
 from confrank.autodiff import (Adam, EmbeddingTable, Node, Parameter,
                                ShapeMismatchError, EmbeddingIndexError, Tape)
@@ -290,6 +291,54 @@ class TestEmbedding:
         tape = Tape()
         with pytest.raises(EmbeddingIndexError, match="5"):
             tape.embedding(self.table([[1.0], [2.0]]), [0, 5])
+
+
+class TestNode:
+    def test_float64_array_kept_as_is(self):
+        a = np.arange(3.0)
+        assert Node(a).data is a
+
+    @pytest.mark.parametrize("data", [np.arange(3, dtype=np.float32), np.arange(3),
+                                      np.ma.masked_array(np.arange(3.0)), [0.0, 1.0, 2.0],
+                                      np.arange(3.0).astype(">f8")])
+    def test_anything_else_becomes_a_float64_array(self, data):
+        node = Node(data)
+        assert type(node.data) is np.ndarray and node.data.dtype == np.dtype("<f8")
+        assert np.array_equal(node.data, [0.0, 1.0, 2.0])
+
+
+class TestClampMatchesNpClip:
+    """Tape.clip and Tape.bce clamp with maximum/minimum, not np.clip; values
+    and gradients must match the np.clip forms bit for bit."""
+
+    LO, HI = 0.1, 0.8
+    EDGES = [-np.inf, -1.0, 0.0999999, 0.1, 0.1000001, 0.37, 0.7999999, 0.8, 0.8000001,
+             1.0, np.inf]
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_clip_value_and_gradient(self, with_nan):
+        x0 = np.array(self.EDGES + [np.nan] * with_nan)
+        g = np.linspace(0.5, 1.5, x0.size)
+        tape = Tape()
+        x = tape.leaf(make_param("x", x0))
+        out = tape.clip(x, self.LO, self.HI)
+        tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
+        want, want_grad = oracles.clip(x0, self.LO, self.HI, g)
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_bce_value_and_gradient(self, with_nan):
+        p0 = np.repeat(self.EDGES + [np.nan] * with_nan, 2)
+        y = np.tile([0.0, 1.0], p0.size // 2)
+        tape = Tape()
+        p = tape.leaf(make_param("p", p0))  # its node's gradient keeps the sign of a zero
+        loss = tape.bce(p, y, self.LO, self.HI)
+        tape.backward(loss)
+        want, want_grad = oracles.bce(p0, y, self.LO, self.HI)
+        assert np.isnan(loss.data) == with_nan
+        assert loss.data.tobytes() == np.float64(want).tobytes()
+        assert p.grad.tobytes() == want_grad.tobytes()
 
 
 def _bce_chain(tape, p, y, lo, hi):

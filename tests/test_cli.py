@@ -610,6 +610,75 @@ def test_checkpoint_arrays_must_match_the_model(cli_env, trained_run, tmp_path, 
     assert not out.exists()
 
 
+def _drop_adam_step_counts(payload):
+    for entry in payload["adam"].values():
+        del entry["t"]
+
+
+def _transpose_adam_m(payload):
+    """Give the first matrix parameter's 'm' the transposed shape: same size,
+    so the array section still holds it."""
+    for entry in payload["adam"].values():
+        shape = entry["m"]["shape"]
+        if len(shape) == 2 and shape[0] != shape[1]:
+            entry["m"]["shape"] = shape[::-1]
+            return
+
+
+@pytest.mark.parametrize("command", ["rank", "train"])
+@pytest.mark.parametrize("key", ["t", "m"])
+def test_checkpoint_optimizer_entries_are_checked(cli_env, trained_run, tmp_path, capsys,
+                                                  command, key):
+    """A checksum-valid checkpoint whose optimizer entries have no step count
+    't', or an 'm' of its parameter's size but another shape, exits 2 naming
+    the parameter and the key: not 3, and not a silent reshape."""
+    _, _, data_dir = cli_env
+    ckpt = trained_run[0] / "checkpoint_Proposed_3.json"
+    adam = read_v3(ckpt)[0]["payload"]["adam"]
+    if key == "t":
+        edit, name = _drop_adam_step_counts, next(iter(adam))
+    else:
+        edit = _transpose_adam_m
+        name = next(n for n, e in adam.items()
+                    if len(e["m"]["shape"]) == 2 and len(set(e["m"]["shape"])) == 2)
+    bad = tmp_path / "ckpt.json"
+    rewrite_payload(ckpt, bad, edit)
+    out = tmp_path / "o"
+    argv = (["rank", "--checkpoint", str(bad), "--candidates", str(tmp_path / "c.tsv")]
+            if command == "rank" else
+            ["train", "--dataset", data_dir, "--out", str(out), "--resume", str(bad)])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"parameter '{name}'" in err and f"'{key}'" in err and "runtime error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_finite_ne_is_a_runtime_failure(cli_env, tmp_path, capsys, command):
+    """A run whose holdout NE is not finite (here from one NaN feature in a
+    re-signed day 1) exits 3 naming the variant, seed and holdout day, and
+    writes no metrics_*.json or ablation.json."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    path = str(bad / S.day_filename(1))
+    day = S.read_day_file(path)
+    day["features"] = day["features"].copy()
+    day["features"][0, 0] = np.nan
+    S.save_container(path, day, fmt=S.DAY_FORMAT)
+    manifest = S.load_manifest(data_dir)
+    S.write_manifest(str(bad), manifest["config_hash"], manifest["schema_hash"],
+                     list(manifest["files"]))
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg_path, "--dataset", str(bad), "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    run = "Proposed seed 3" if command == "train" else "Baseline seed 0"
+    assert f"{run}: holdout day 1 NE is not finite" in err
+    assert not [f for f in os.listdir(out) if f.startswith(("metrics_", "ablation"))]
+
+
 @pytest.mark.parametrize("name,fmt,payload,key", [
     (S.day_filename(1), S.DAY_FORMAT, {}, "'schema_hash'"),
     ("world.json", S.WORLD_FORMAT, {}, "'config'"),

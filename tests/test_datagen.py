@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from conftest import tiny_data_config
 from confrank import datagen as D
-from confrank.schema import default_schema
+from confrank.config import DataConfig
+from confrank.schema import DENSE, STATISTICAL, FeatureSpec, default_schema, validate_schema
 from confrank.serialize import write_day_file
 
 
@@ -176,6 +178,85 @@ class TestDeriveFeatures:
         flags = logs[1].features[:, start : start + cfg.k_topics]
         assert set(np.unique(flags)) <= {0.0, 1.0}
         assert np.array_equal(flags, world.topics[logs[1].item_ids])
+
+
+def _history_through(world, logs, day):
+    hist = D.History.empty(world.n_users, world.n_items)
+    for log in logs[:day]:
+        hist.update(log, world)
+    return hist
+
+
+class TestFeatureBuffer:
+    """derive_features writes one buffer through the schema's column slices;
+    the rows must equal, byte for byte, the column-stacked reference rows."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 100, 101])
+    def test_equals_column_stacked_rows(self, tiny_dataset, n):
+        _, world, schema, logs, _ = tiny_dataset
+        hist = _history_through(world, logs, 2)
+        rng = np.random.default_rng(n)
+        users = rng.integers(world.n_users, size=n)
+        items = rng.integers(world.n_items, size=n)
+        got = D.derive_features(world, hist, users, items, schema)
+        want = oracles.derive_features(world, hist, users, items, schema)
+        assert got.shape == want.shape == (n, schema.arity())
+        assert got.tobytes() == want.tobytes()
+
+    def test_equals_column_stacked_rows_on_a_default_day(self):
+        cfg = DataConfig(n_days=2, seed=5)
+        world = D.generate_world(cfg)
+        schema = default_schema()
+        logs = list(D.simulate_days(world, schema))
+        hist = _history_through(world, logs, 1)
+        want = oracles.derive_features(world, hist, logs[1].user_ids, logs[1].item_ids, schema)
+        assert logs[1].n_events > 10_000
+        assert logs[1].features.tobytes() == want.tobytes()
+
+    def test_reordered_schema_moves_the_columns(self, tiny_dataset):
+        """The schema, not derive_features, decides where each feature goes."""
+        _, world, schema, logs, _ = tiny_dataset
+        hist = _history_through(world, logs, 2)
+        users, items = logs[2].user_ids, logs[2].item_ids
+        reordered = validate_schema(schema.specs[::-1])
+        got = D.derive_features(world, hist, users, items, reordered)
+        want = D.derive_features(world, hist, users, items, schema)
+        for s in schema.specs:
+            assert np.array_equal(got[:, reordered.slices[s.name]], want[:, schema.slices[s.name]])
+
+    @pytest.mark.parametrize("case", ["extra", "missing", "renamed", "wrong_width"])
+    def test_refuses_a_schema_it_cannot_fill(self, tiny_dataset, case):
+        cfg, world, schema, logs, _ = tiny_dataset
+        specs = list(schema.specs)
+        if case == "extra":
+            specs.append(FeatureSpec("item_age", DENSE, STATISTICAL))
+        elif case == "missing":
+            specs = [s for s in specs if s.name != "item_quality"]
+        elif case == "renamed":
+            specs[0] = FeatureSpec("item_impressions", DENSE, STATISTICAL)
+        else:
+            specs = [FeatureSpec(s.name, s.encoding, s.bucket, cfg.k_topics + 1)
+                     if s.name == "item_topic_flags" else s for s in specs]
+        bad = validate_schema(specs)
+        for n in (0, 5):
+            with pytest.raises(D.DataGenError, match="schema does not match"):
+                D.derive_features(world, D.History.empty(world.n_users, world.n_items),
+                                  np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), bad)
+
+
+class TestZscoreColumns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 101, 20000])
+    def test_equals_mean_and_std_form(self, n):
+        rng = np.random.default_rng(n)
+        mat = np.column_stack([
+            rng.normal(size=n),
+            np.full(n, 3.25),  # constant: sd 0, divided by 1
+            1e9 + rng.normal(size=n),  # large offset
+            -1e12 + 1e3 * rng.random(n),
+            rng.integers(0, 3, size=n).astype(np.float64),
+        ])
+        got = D._zscore_columns(mat)
+        assert got.tobytes() == oracles.zscore_columns(mat).tobytes()
 
 
 class TestDeriveX:

@@ -14,7 +14,7 @@ from confrank.autodiff import Tape
 from confrank.config import VARIANTS, ModelConfig, TrainConfig
 from confrank.labels import causal_labels
 from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
-                            check_decoupling, gradient_provenance)
+                            _column_index, check_decoupling, gradient_provenance)
 from confrank.schema import (ATTRIBUTE, DENSE, STATISTICAL, FeatureSpec,
                              validate_schema)
 
@@ -185,6 +185,40 @@ class TestForward:
             e_conf, e_rel = model.causal_embeddings(features)
             assert e_conf.tobytes() == outs.e_conf.data.tobytes(), variant
             assert e_rel.tobytes() == outs.e_rel.data.tobytes(), variant
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_strided_features_score_as_their_contiguous_copy(self, tiny_dataset, variant):
+        """Input blocks whose columns form one run are gathered as views; a
+        column slice of a wider array must give the bytes its copy gives, in
+        predict and in a training step's objective and gradients."""
+        _, _, schema, logs, _ = tiny_dataset
+        rows = distinct_rows(schema, logs, 101)
+        wide = np.concatenate([np.full((101, 2), 7.0), rows, np.full((101, 3), -1.0)], axis=1)
+        strided = wide[:, 2 : 2 + schema.arity()]
+        assert not strided.flags.c_contiguous
+        copy = np.ascontiguousarray(strided)
+        model = build(schema, variant=variant)
+        assert model.predict(strided).tobytes() == model.predict(copy).tobytes()
+
+        labels = logs[1].labels[:101]
+        x = logs[1].x_scalar[:101]
+        results = []
+        for feats in (strided, copy):
+            model.zero_grads()
+            tape = Tape()
+            objective, _, _ = model.training_objective(tape, feats, labels, x)
+            tape.backward(objective)
+            results.append((objective.data.tobytes(),
+                            [p.grad.tobytes() for p in model.parameters()]))
+        assert results[0] == results[1]
+
+    def test_input_blocks_gathered_through_slices_or_index_arrays(self):
+        assert _column_index([3, 4]) == slice(3, 5)
+        assert _column_index([7]) == slice(7, 8)
+        assert _column_index([]) is None
+        for cols in ([0, 2], [4, 3], [1, 2, 4]):
+            index = _column_index(cols)
+            assert index.dtype == np.intp and index.tolist() == cols
 
     def test_de_zero_matches_baseline(self, batch):
         schema, features, *_ = batch

@@ -113,6 +113,22 @@ class TestPartition:
         # bijection: every feature in exactly one bucket
         assert len(cols[S.STATISTICAL]) + len(cols[S.ATTRIBUTE]) == len(raw)
 
+    @given(schema_strategy())
+    def test_every_column_in_exactly_one_feature_slice(self, schema):
+        columns = range(schema.arity())
+        owners = [[name for name, sl in schema.slices.items() if c in columns[sl]]
+                  for c in columns]
+        assert all(len(o) == 1 for o in owners)
+        assert list(schema.slices) == [s.name for s in schema.specs]
+        for s in schema.specs:
+            sl = schema.slices[s.name]
+            if s.encoding == S.DENSE:
+                assert sl.stop - sl.start == s.width
+            else:
+                assert sl == slice(schema.cat_col[s.name], schema.cat_col[s.name] + 1)
+        assert schema.dense_for() == [c for s in schema.specs if s.encoding == S.DENSE
+                                      for c in columns[schema.slices[s.name]]]
+
     def test_partition_is_pure(self):
         schema = S.default_schema()
         raw = list(np.arange(schema.arity(), dtype=float) % 2)
@@ -127,6 +143,11 @@ class TestDefaultSchema:
 
     def test_hash_stable(self):
         assert S.default_schema().hash == S.default_schema().hash
+
+    def test_hash_value_unchanged(self):
+        """Computed once at construction, from the same canonical text as
+        ever: datasets and checkpoints written before still match."""
+        assert S.default_schema().hash == "bdc83238324be33c"
 
     def test_file_roundtrip(self, tmp_path):
         schema = S.default_schema()
