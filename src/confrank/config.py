@@ -64,8 +64,9 @@ class DataConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.n_items < 1:
             raise ConfigError("n_users and n_items must be >= 1")
-        if self.k_topics < 2:
-            raise ConfigError("k_topics must be >= 2")
+        if self.k_topics < 3:
+            raise ConfigError(f"k_topics must be >= 3 (each item draws up to 3 "
+                              f"distinct topics), got {self.k_topics}")
         if self.n_days < 2:
             raise ConfigError("need at least one train day and one test day")
         for name in ("task_alpha", "task_beta", "task_gamma"):

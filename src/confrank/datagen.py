@@ -46,6 +46,10 @@ class World:
     # derived
     z_log_pop: np.ndarray  # standardized log popularity
     top_decile: np.ndarray  # bool mask of top-10%-popularity items
+    topic_shares: np.ndarray = field(init=False, repr=False)  # phi_i / |phi_i|
+
+    def __post_init__(self):
+        self.topic_shares = self.topics / self.topics.sum(axis=1, keepdims=True)
 
     @property
     def n_users(self):
@@ -57,9 +61,7 @@ class World:
 
     def interest_alignment(self, users, items) -> np.ndarray:
         """<theta_u, phi_i / |phi_i|> for paired index arrays."""
-        phi = self.topics[items]
-        norm = phi.sum(axis=1, keepdims=True)
-        return np.einsum("nk,nk->n", self.interests[users], phi / norm)
+        return np.einsum("nk,nk->n", self.interests[users], self.topic_shares[items])
 
 
 @dataclass
@@ -128,10 +130,7 @@ def generate_world(cfg: DataConfig) -> World:
     ranks = rng.permutation(cfg.n_items) + 1
     popularity = ranks.astype(np.float64) ** (-cfg.zipf_s)
 
-    n_topics_each = rng.integers(1, 4, size=cfg.n_items)
-    topics = np.zeros((cfg.n_items, k))
-    for i in range(cfg.n_items):
-        topics[i, rng.choice(k, size=n_topics_each[i], replace=False)] = 1.0
+    topics = _draw_topics(rng, cfg.n_items, k)
     quality = rng.beta(2.0, 2.0, size=cfg.n_items)
     content_type = rng.integers(0, cfg.n_content_types, size=cfg.n_items)
 
@@ -163,6 +162,36 @@ def generate_world(cfg: DataConfig) -> World:
                  z_log_pop, top_decile)
 
 
+def _draw_topics(rng: np.random.Generator, n_items: int, k: int) -> np.ndarray:
+    """Multi-hot [n_items, k] rows of 1-3 distinct topics each: the rows, and
+    the rng state after them, of drawing every item's size and then calling
+    rng.choice(k, size, replace=False) item by item, in one draw.
+
+    For size s <= 3 (and any k), choice runs Floyd's algorithm: s bounded
+    draws in [0, j] for j = k-s .. k-1, a value already picked becoming j;
+    then it shuffles the picks with s-1 draws in [0, i] for i = s-1 .. 1.
+    rng.integers over an array of bounds makes the same bounded draws in
+    order, so one call consumes exactly what the loop would. The shuffle
+    draws are discarded: a multi-hot row does not see the order."""
+    size = rng.integers(1, 4, size=n_items)
+    per_item = 2 * size - 1
+    start = np.cumsum(per_item) - per_item
+    owner = np.repeat(np.arange(n_items), per_item)
+    s, pos = size[owner], np.arange(owner.shape[0]) - start[owner]
+    bounds = np.where(pos < s, k - s + pos, 2 * s - 1 - pos)
+    draws = rng.integers(0, bounds + 1)
+
+    picks = np.empty((n_items, 3), dtype=np.int64)
+    for c in range(3):
+        rows = np.flatnonzero(size > c)
+        v, j = draws[start[rows] + c], k - size[rows] + c
+        taken = (picks[rows, :c] == v[:, None]).any(axis=1)
+        picks[rows, c] = np.where(taken, j, v)
+    topics = np.zeros((n_items, k))
+    topics[np.repeat(np.arange(n_items), size), picks[size[:, None] > np.arange(3)]] = 1.0
+    return topics
+
+
 def _event_factors(world: World, users, items) -> tuple:
     """The world factors every task's logit reads, for paired index arrays:
     (user conformity, item z log-popularity, interest alignment, item quality)."""
@@ -177,7 +206,7 @@ def _engagement(cfg: DataConfig, factors: tuple, task: int) -> tuple:
     conf = cfg.task_alpha[task] * conformity * z_log_pop
     rel = cfg.task_beta[task] * alignment * quality
     p = 1.0 / (1.0 + np.exp(-(conf + rel + cfg.task_gamma[task])))
-    return np.clip(p, 1e-7, 1.0 - 1e-7), conf, rel
+    return np.minimum(np.maximum(p, 1e-7), 1.0 - 1e-7), conf, rel
 
 
 def engagement_probability(world: World, users, items, task: int) -> np.ndarray:
@@ -281,7 +310,7 @@ def simulate_days(world: World, schema: Schema | None = None):
         n_per_user = rng.poisson(world.activity)
         users = np.repeat(np.arange(world.n_users), n_per_user)
         items = live[rng.choice(live.shape[0], size=users.shape[0], p=weights)]
-        order = np.lexsort((items, users))
+        order = np.argsort(users * world.n_items + items, kind="stable")
         users, items = users[order], items[order]
 
         labels = np.zeros((users.shape[0], cfg.n_tasks), dtype=np.int64)

@@ -184,20 +184,21 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
     rep_items = cand.reshape(-1)
     features = derive_features(world, history, rep_users, rep_items, schema)
 
+    k = min(eval_cfg.replay_k, n_cand)
+    shown_users = np.repeat(users, k)
     out = {}
     for name, model in models.items():
         scores = final_score(model.predict(features),
                              eval_cfg.combine_weights).reshape(len(users), n_cand)
+        # each user's top k (descending score, ties by item id), users in order
+        order = np.lexsort((cand, -scores), axis=1)[:, :k]
+        shown = np.take_along_axis(cand, order, axis=1).reshape(-1)
+        p = sum(engagement_probability(world, shown_users, shown, t)
+                for t in range(world.cfg.n_tasks))
         item_eng = np.zeros(world.n_items)
         item_exp = np.zeros(world.n_items)
-        k = min(eval_cfg.replay_k, n_cand)
-        for ui, u in enumerate(users):
-            order = np.lexsort((cand[ui], -scores[ui]))[:k]
-            shown = cand[ui][order]
-            p = sum(engagement_probability(world, np.full(k, u), shown, t)
-                    for t in range(world.cfg.n_tasks))
-            np.add.at(item_eng, shown, p)
-            np.add.at(item_exp, shown, 1.0)
+        np.add.at(item_eng, shown, p)
+        np.add.at(item_exp, shown, 1.0)
         cov = tail_coverage(item_eng, eval_cfg.tail_quantiles,
                             popularity=world.popularity, item_exposures=item_exp)
         out[name] = {"item_engagements": item_eng, "item_exposures": item_exp, **cov}

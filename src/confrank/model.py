@@ -173,6 +173,7 @@ class _CausalModule:
         self.user_head = b.dense(f"{name}/user_head", tower_width, head_out)
         self.item_head = b.dense(f"{name}/item_head", tower_width, head_out)
         self.proj = b.dense(f"{name}/embed", 2 * tower_width, d_e, trainable=not stop_grad)
+        self.stop_grad = stop_grad
 
     def __call__(self, tape: Tape, user_in: Node, item_in: Node):
         up = self.user_tower(tape, user_in)
@@ -181,8 +182,14 @@ class _CausalModule:
         if tape.recording:
             u_head = tape.sigmoid(tape.dense(up, *self.user_head))
             i_head = tape.sigmoid(tape.dense(ip, *self.item_head))
-        embed = tape.dense(tape.concat([up, ip], axis=1), *self.proj)
-        return u_head, i_head, embed
+        if not self.stop_grad:
+            return u_head, i_head, tape.dense(tape.concat([up, ip], axis=1), *self.proj)
+        # a constant projection of a stop-gradient read: Tape.dense's float
+        # ops on plain arrays, so no backward closure is recorded
+        w, bias = self.proj
+        embed = np.concatenate([up.data, ip.data], axis=1) @ w.value
+        embed += bias.value
+        return u_head, i_head, tape.constant(embed)
 
 
 class Cam2Model:

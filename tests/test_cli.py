@@ -93,6 +93,14 @@ class TestGenData:
                          "--out", str(tmp_path / "o")]) == 2
         assert "n_userz" in capsys.readouterr().err
 
+    def test_too_few_topics_refused_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "k2.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "data": {**TINY_CONFIG["data"], "k_topics": 2}}))
+        out = tmp_path / "o"
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "k_topics" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_writes_checkpoint_and_metrics(self, trained_run):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,6 +45,8 @@ class TestGenerateWorld:
             tiny_data_config(n_users=0)
         with pytest.raises(ConfigError):
             tiny_data_config(k_topics=1)
+        with pytest.raises(ConfigError, match="k_topics"):
+            tiny_data_config(k_topics=2)  # an item may draw 3 distinct topics
 
     def test_casual_segment_only_scales_activity(self):
         # [DERIVED] the segment is drawn after every other field, so a world
@@ -61,6 +65,63 @@ class TestGenerateWorld:
     def test_every_item_has_a_topic(self):
         _, world = small_world()
         assert (world.topics.sum(axis=1) >= 1).all()
+
+
+class TestMatchesItemByItemDraws:
+    """The generator's whole-array topic draw and event order give, bit for
+    bit, the per-item rng.choice loop and the np.lexsort day loop in
+    oracles.py, and leave the generator in the same state. If a numpy
+    release changes the draws Generator.choice makes, this fails, so a
+    dataset never changes silently."""
+
+    @pytest.mark.parametrize("k", [3, 4, 8, 13, 20011])
+    @pytest.mark.parametrize("n_items", [1, 5, 60])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_topic_rows_and_generator_state(self, seed, n_items, k):
+        ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = D._draw_topics(ours, n_items, k)
+        assert got.tobytes() == oracles.item_topics(loop, n_items, k).tobytes()
+        assert ours.bit_generator.state == loop.bit_generator.state
+        assert ours.integers(0, 2**62, size=3).tolist() == loop.integers(0, 2**62, size=3).tolist()
+
+    WORLDS = [dict(), dict(k_topics=3, seed=3), dict(k_topics=13, seed=11),
+              dict(n_items=1, new_items_per_day=0), "default"]
+
+    @staticmethod
+    def _config(over):
+        return DataConfig(n_days=3) if over == "default" else tiny_data_config(**over)
+
+    @pytest.mark.parametrize("over", WORLDS)
+    def test_world_equals_item_by_item_world(self, monkeypatch, over):
+        cfg = self._config(over)
+        got = D.generate_world(cfg)
+        monkeypatch.setattr(D, "_draw_topics", oracles.item_topics)
+        want = D.generate_world(cfg)
+        # every array drawn after the topics matches too: the stream is in step
+        for f in dataclasses.fields(D.World):
+            if f.name != "cfg":
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+
+    @pytest.mark.parametrize("over", WORLDS)
+    def test_days_equal_lexsorted_days(self, over):
+        cfg = self._config(over)
+        world = D.generate_world(cfg)
+        schema = default_schema(cfg.k_topics, cfg.n_age_buckets, cfg.n_content_types)
+        days = zip(D.simulate_days(world, schema), oracles.simulate_days(world, schema),
+                   strict=True)
+        for got, want in days:
+            assert got.day == want.day
+            for f in dataclasses.fields(D.DayLog):
+                if f.name != "day":
+                    assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+
+    def test_topic_shares_match_per_event_normalisation(self, tiny_world):
+        _, world = tiny_world
+        rng = np.random.default_rng(0)
+        users = rng.integers(0, world.n_users, 500)
+        items = rng.integers(0, world.n_items, 500)
+        got = world.interest_alignment(users, items)
+        assert got.tobytes() == oracles.interest_alignment(world, users, items).tobytes()
 
 
 class TestEngagementProbability:

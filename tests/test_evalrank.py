@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import tiny_model_config
 from confrank import evalrank as E
 from confrank import trainer as T
-from confrank.config import EvalConfig, TrainConfig
-from confrank.datagen import History
+from confrank.config import DataConfig, EvalConfig, ModelConfig, TrainConfig
+from confrank.datagen import History, generate_world, simulate_days
 from confrank.model import Cam2Model
+from confrank.schema import default_schema
 
 
 class TestFinalScore:
@@ -190,6 +192,39 @@ class TestReplayAndSignTest:
                                       schema, ecfg, day=cfg.n_days - 1, seed=0)
         assert np.array_equal(out["a"]["item_engagements"], out["b"]["item_engagements"])
         assert out["a"]["counts"] == out["b"]["counts"]
+
+    @staticmethod
+    def _assert_replay_equals_user_by_user(models, world, hist, schema, ecfg, day):
+        got = E.counterfactual_replay(models, world, hist, schema, ecfg, day=day, seed=4)
+        want = oracles.counterfactual_replay(models, world, hist, schema, ecfg, day=day, seed=4)
+        assert got.keys() == want.keys() == models.keys()
+        for name in models:
+            for key in ("item_engagements", "item_exposures"):
+                assert got[name][key].tobytes() == want[name][key].tobytes()
+            for key in ("counts", "total_engagement", "bottom80_exposure_share"):
+                assert got[name][key] == want[name][key]
+
+    @pytest.mark.parametrize("ecfg", [
+        EvalConfig(replay_users=20, replay_candidates=30, replay_k=5),
+        EvalConfig(replay_users=1, replay_candidates=7, replay_k=1),
+        EvalConfig()])
+    def test_replay_equals_user_by_user_loop(self, tiny_dataset, ecfg):
+        cfg, world, schema, logs, _ = tiny_dataset
+        hist = History.empty(world.n_users, world.n_items)
+        for log in logs[:-1]:
+            hist.update(log, world)
+        models = {v: Cam2Model(tiny_model_config(variant=v), schema)
+                  for v in ("Baseline", "Proposed")}
+        self._assert_replay_equals_user_by_user(models, world, hist, schema, ecfg,
+                                                cfg.n_days - 1)
+
+    def test_replay_equals_user_by_user_loop_at_default_config(self):
+        cfg = DataConfig(n_days=2, seed=2)
+        world, schema = generate_world(cfg), default_schema()
+        hist = History.empty(world.n_users, world.n_items)
+        hist.update(next(iter(simulate_days(world, schema))), world)
+        models = {"Baseline": Cam2Model(ModelConfig(variant="Baseline"), schema)}
+        self._assert_replay_equals_user_by_user(models, world, hist, schema, EvalConfig(), 1)
 
 
 SMALL_EVAL = EvalConfig(replay_users=20, replay_candidates=30, replay_k=5, probe_samples=200)

@@ -369,14 +369,17 @@ class TestTrainingObjective:
         assert tape.constants
         assert [n.shape for n in tape.constants if n.grad is not None] == []
 
-    def test_proposed_step_records_at_most_90_ops(self, batch):
+    def test_proposed_step_records_at_most_86_ops(self, batch):
         # default-config Proposed: 127 recorded ops before Tape.bce, the shared
-        # head input, and unscaled unit-weight terms
+        # head input and unscaled unit-weight terms, 90 before the constant
+        # causal-embedding projection; every recorded op gets a gradient
         schema, features, labels, x = batch
         model = Cam2Model(ModelConfig(variant="Proposed"), schema)
         tape = Tape()
-        model.training_objective(tape, features, labels, x)
-        assert len(tape._ops) <= 90
+        objective, _, _ = model.training_objective(tape, features, labels, x)
+        assert len(tape._ops) <= 86
+        tape.backward(objective)
+        assert [out.shape for out, _ in tape._ops if out.grad is None] == []
 
     def test_report_total_is_weighted_sum(self, batch):
         schema, features, labels, x = batch
