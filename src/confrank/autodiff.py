@@ -130,17 +130,6 @@ class Parameter:
         self._grad = grad.reshape(self.shape)
 
 
-class EmbeddingTable:
-    """Lookup table for a categorical feature; rows is a [vocab, dim] Parameter."""
-
-    def __init__(self, name: str, vocab_size: int, dim: int, rng: np.random.Generator):
-        if vocab_size < 1 or dim < 1:
-            raise ValueError(f"bad embedding size ({vocab_size}, {dim})")
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.rows = Parameter(name, rng.normal(0.0, 0.01, size=(vocab_size, dim)))
-
-
 def _spread(g, axis, like: np.ndarray) -> np.ndarray:
     """Broadcast a reduction's output gradient back over the reduced axis."""
     if axis is None:
@@ -448,18 +437,17 @@ class Tape:
 
     # -- embeddings -----------------------------------------------------
 
-    def embedding(self, table: EmbeddingTable, indices) -> Node:
+    def embedding(self, rows: Parameter, indices) -> Node:
+        """Rows of a [vocab, dim] parameter, one per index."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
-            bad = idx[(idx < 0) | (idx >= table.vocab_size)][0]
-            raise EmbeddingIndexError(
-                f"index {bad} out of range for vocab of {table.vocab_size}"
-            )
-        param = table.rows
-        out = Node(param.value[idx], self.recording)
+        vocab = rows.shape[0]
+        if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+            bad = idx[(idx < 0) | (idx >= vocab)][0]
+            raise EmbeddingIndexError(f"index {bad} out of range for vocab of {vocab}")
+        out = Node(rows.value[idx], self.recording)
         if out.needs_grad:
             def back(g):
-                np.add.at(param._grad, idx, g)
+                np.add.at(rows._grad, idx, g)
 
             self._ops.append((out, back))
         return out

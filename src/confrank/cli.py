@@ -163,6 +163,10 @@ def cmd_train(args) -> int:
         state.model.check_schema(schema.hash)
         model_cfg = state.model.config
     _check_task_count(model_cfg, days)
+    if args.resume and not any(d["day"] > state.last_day for d in days[:-1]):
+        raise CliError(f"checkpoint {args.resume} has trained through day {state.last_day}: "
+                       "no day before the dataset's holdout day is left to train",
+                       EXIT_VALIDATION)
     _prepare_out_dir(args.out, args.force)
 
     state, rows = (T.resume_experiment(state, days) if args.resume else
@@ -257,10 +261,38 @@ def _read_candidates(path):
     if not rows:
         raise CliError(f"candidate file {path} has no rows", EXIT_VALIDATION)
     mat = np.array(rows, dtype=np.float64)
-    return mat[:, 0].astype(np.int64), mat[:, 1:], meta["schema_hash"]
+    ids = mat[:, 0]
+    # float64 holds every integer below 2**53 exactly
+    bad = np.flatnonzero(~((ids >= 0) & (ids < 2.0**53) & (ids == np.floor(ids))))
+    if bad.size:
+        raise CliError(f"candidate file {path}: item id {ids[bad[0]]:g} in row {bad[0]} "
+                       "is not a non-negative integer below 2**53", EXIT_VALIDATION)
+    return ids.astype(np.int64), mat[:, 1:], meta["schema_hash"]
 
 
 # -- report -------------------------------------------------------------
+
+
+def _read_metrics(path) -> dict:
+    """A `train` metrics file, refused unless it holds the keys report reads
+    and at least one row."""
+    with open(path) as fh:
+        try:
+            run = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"metrics file {path} is not JSON: {e}", EXIT_VALIDATION)
+    if not isinstance(run, dict):
+        raise CliError(f"metrics file {path} is not a JSON object", EXIT_VALIDATION)
+    for key in ("variant", "rows", "ecosystem"):
+        if key not in run:
+            raise CliError(f"metrics file {path} has no {key!r} key", EXIT_VALIDATION)
+    if not isinstance(run["rows"], list) or not run["rows"]:
+        raise CliError(f"metrics file {path} has no rows", EXIT_VALIDATION)
+    for i, row in enumerate(run["rows"]):
+        if not isinstance(row, dict) or "ne_aggregated" not in row:
+            raise CliError(f"metrics file {path} row {i} has no 'ne_aggregated' key",
+                           EXIT_VALIDATION)
+    return run
 
 
 def cmd_report(args) -> int:
@@ -270,10 +302,7 @@ def cmd_report(args) -> int:
                    if f.startswith("metrics_") and f.endswith(".json"))
     if not files:
         raise CliError(f"no metrics found in {args.metrics}", EXIT_VALIDATION)
-    runs = []
-    for f in files:
-        with open(os.path.join(args.metrics, f)) as fh:
-            runs.append(json.load(fh))
+    runs = [_read_metrics(os.path.join(args.metrics, f)) for f in files]
 
     by_variant = {}
     for run in runs:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as L
-from .autodiff import Adam, EmbeddingTable, Node, Parameter, Tape, clamp, glorot_uniform
+from .autodiff import Adam, Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
 from .schema import Schema
@@ -105,10 +105,36 @@ class _Builder:
             self.params += [w, b]
         return w, b
 
-    def embedding(self, name: str, vocab: int, dim: int) -> EmbeddingTable:
-        t = EmbeddingTable(f"{self.group}/{name}/emb", vocab, dim, self.rng)
-        self.params.append(t.rows)
-        return t
+    def embedding(self, name: str, vocab: int, dim: int) -> Parameter:
+        """A [vocab, dim] table of N(0, 0.01) rows."""
+        rows = Parameter(f"{self.group}/{name}/emb", self.rng.normal(0.0, 0.01, (vocab, dim)))
+        self.params.append(rows)
+        return rows
+
+    def inputs(self, schema: Schema, dim: int, bucket=None, side=None):
+        """One input block over a bucket and side of the schema (every feature
+        if both are None): (dense column index, input width, [(categorical
+        name, [vocab, dim] embedding)]). A side's embeddings are named after
+        it: "user/<feature>"."""
+        dense, cats = schema.dense_for(bucket, side), schema.cats_for(bucket, side)
+        prefix = f"{side}/" if side else ""
+        tables = [(s.name, self.embedding(prefix + s.name, s.vocab_size, dim)) for s in cats]
+        return _column_index(dense), len(dense) + dim * len(cats), tables
+
+
+def _gather(tape: Tape, features: np.ndarray, indices: dict, block) -> Node:
+    """One input block's node (see _Builder.inputs): its dense columns, then
+    an embedding per categorical, looked up with the row's indices from
+    `indices`."""
+    dense_index, _, tables = block
+    pieces = []
+    if dense_index is not None:
+        pieces.append(tape.constant(features[:, dense_index]))
+    for name, rows in tables:
+        pieces.append(tape.embedding(rows, indices[name]))
+    if not pieces:
+        return tape.constant(np.zeros((features.shape[0], 0)))
+    return pieces[0] if len(pieces) == 1 else tape.concat(pieces, axis=1)
 
 
 class _Mlp:
@@ -159,37 +185,40 @@ class _ResidualTower:
 
 
 class _CausalModule:
-    """Two residual towers plus prediction heads and an embedding projection.
+    """A user and an item input block, each feeding a residual tower, plus
+    prediction heads and an embedding projection.
 
     Only the losses read the heads, so a gradless tape skips them (None).
     Only task losses can reach the projection, so behind a stop-gradient it
-    is a seeded constant, not a parameter.
+    is a seeded constant, not a parameter, and runs on a gradless tape.
     """
 
-    def __init__(self, b: _Builder, name: str, stop_grad: bool, user_width: int, item_width: int,
-                 tower_width: int, blocks: int, head_out: int, d_e: int):
-        self.user_tower = _ResidualTower(b, f"{name}/user", user_width, tower_width, blocks)
-        self.item_tower = _ResidualTower(b, f"{name}/item", item_width, tower_width, blocks)
-        self.user_head = b.dense(f"{name}/user_head", tower_width, head_out)
-        self.item_head = b.dense(f"{name}/item_head", tower_width, head_out)
-        self.proj = b.dense(f"{name}/embed", 2 * tower_width, d_e, trainable=not stop_grad)
+    def __init__(self, b: _Builder, schema: Schema, bucket: str, cfg: ModelConfig,
+                 stop_grad: bool, head_out: int):
+        self.inputs = {side: b.inputs(schema, cfg.embed_dim, bucket, side)
+                       for side in ("user", "item")}
+        width = cfg.tower_width
+        self.user_tower = _ResidualTower(b, "module/user", self.inputs["user"][1], width,
+                                         cfg.tower_blocks)
+        self.item_tower = _ResidualTower(b, "module/item", self.inputs["item"][1], width,
+                                         cfg.tower_blocks)
+        self.user_head = b.dense("module/user_head", width, head_out)
+        self.item_head = b.dense("module/item_head", width, head_out)
+        self.proj = b.dense("module/embed", 2 * width, cfg.causal_embed_dim,
+                            trainable=not stop_grad)
         self.stop_grad = stop_grad
 
-    def __call__(self, tape: Tape, user_in: Node, item_in: Node):
-        up = self.user_tower(tape, user_in)
-        ip = self.item_tower(tape, item_in)
+    def __call__(self, tape: Tape, features: np.ndarray, indices: dict):
+        up = self.user_tower(tape, _gather(tape, features, indices, self.inputs["user"]))
+        ip = self.item_tower(tape, _gather(tape, features, indices, self.inputs["item"]))
         u_head = i_head = None
         if tape.recording:
             u_head = tape.sigmoid(tape.dense(up, *self.user_head))
             i_head = tape.sigmoid(tape.dense(ip, *self.item_head))
         if not self.stop_grad:
             return u_head, i_head, tape.dense(tape.concat([up, ip], axis=1), *self.proj)
-        # a constant projection of a stop-gradient read: Tape.dense's float
-        # ops on plain arrays, so no backward closure is recorded
-        w, bias = self.proj
-        embed = np.concatenate([up.data, ip.data], axis=1) @ w.value
-        embed += bias.value
-        return u_head, i_head, tape.constant(embed)
+        towers = Node(np.concatenate([up.data, ip.data], axis=1))  # a stop-gradient read
+        return u_head, i_head, Tape(grad=False).dense(towers, *self.proj)
 
 
 class Cam2Model:
@@ -199,7 +228,6 @@ class Cam2Model:
         self.config = config
         self.spec = VARIANTS[config.variant]
         self.schema = schema
-        self.schema_hash = schema.hash
         flags = schema.slices["item_topic_flags"]
         self.k_topics = flags.stop - flags.start
         self._groups = {g: [] for g in GROUPS}
@@ -211,7 +239,7 @@ class Cam2Model:
         cfg, spec = self.config, self.spec
 
         sb = _Builder(cfg.seed, "shared_bottom", 0)
-        self._sb_inputs = self._input_block(sb, self.schema.dense_for(), self.schema.cats_for())
+        self._sb_inputs = sb.inputs(self.schema, cfg.embed_dim)
         self.shared_bottom = _Mlp(sb, "mlp", self._sb_inputs[1], cfg.shared_widths,
                                   relu_last=True)
         self._groups["shared_bottom"] = sb.params
@@ -219,33 +247,21 @@ class Cam2Model:
         if spec.causal:
             bucket_c, bucket_r = spec.tower_buckets
             cm = _Builder(cfg.seed, "conformity", 2)
-            self._conf_inputs = self._tower_inputs(cm, bucket_c)
-            self.conformity = _CausalModule(
-                cm, "module", spec.stop_grad,
-                self._input_width(self._conf_inputs, "user"),
-                self._input_width(self._conf_inputs, "item"),
-                cfg.tower_width, cfg.tower_blocks, 1, cfg.causal_embed_dim)
+            self.conformity = _CausalModule(cm, self.schema, bucket_c, cfg, spec.stop_grad, 1)
             self._groups["conformity"] = cm.params
-
-            rm = _Builder(cfg.seed, "relevance", 3)
-            self._rel_inputs = self._tower_inputs(rm, bucket_r)
-            self.relevance = _CausalModule(
-                rm, "module", spec.stop_grad,
-                self._input_width(self._rel_inputs, "user"),
-                self._input_width(self._rel_inputs, "item"),
-                cfg.tower_width, cfg.tower_blocks, self.k_topics, cfg.causal_embed_dim)
-            self._groups["relevance"] = rm.params
-
-            for side in ("user", "item"):
-                if self._input_width(self._conf_inputs, side) == 0:
+            for side, (_, width, _) in self.conformity.inputs.items():
+                if width == 0:
                     raise VariantError(
                         f"variant {cfg.variant} needs at least one {side}-side "
                         "statistical feature for the conformity module")
 
-            mx = _Builder(cfg.seed, "mixture", 4)
+            rm = _Builder(cfg.seed, "relevance", 3)
+            self.relevance = _CausalModule(rm, self.schema, bucket_r, cfg, spec.stop_grad,
+                                           self.k_topics)
+            self._groups["relevance"] = rm.params
+
             self.mixture_logits = Parameter("mixture/logits", np.zeros((1, 2)))
-            mx.params.append(self.mixture_logits)
-            self._groups["mixture"] = mx.params
+            self._groups["mixture"] = [self.mixture_logits]
 
         th = _Builder(cfg.seed, "task_heads", 1)
         head_in = cfg.shared_widths[-1]
@@ -256,23 +272,6 @@ class Cam2Model:
                  extra_final=extra if last else 0)
             for t in range(len(cfg.task_weights))]
         self._groups["task_heads"] = th.params
-
-    def _input_block(self, builder: _Builder, dense_cols: list, cats: list, prefix: str = ""):
-        """(dense column index, input width, [(categorical name, table)]) of
-        one input block; the tables are named prefix + feature name."""
-        dim = self.config.embed_dim
-        tables = [(s.name, builder.embedding(prefix + s.name, s.vocab_size, dim)) for s in cats]
-        return _column_index(dense_cols), len(dense_cols) + dim * len(cats), tables
-
-    def _tower_inputs(self, builder: _Builder, bucket):
-        """Per-side input block (see _input_block) for a causal module."""
-        return {side: self._input_block(builder, self.schema.dense_for(bucket, side),
-                                        self.schema.cats_for(bucket, side), f"{side}/")
-                for side in ("user", "item")}
-
-    @staticmethod
-    def _input_width(inputs, side) -> int:
-        return inputs[side][1]
 
     # -- parameters -----------------------------------------------------
 
@@ -292,9 +291,9 @@ class Cam2Model:
     # -- forward --------------------------------------------------------
 
     def check_schema(self, schema_hash: str):
-        if schema_hash != self.schema_hash:
+        if schema_hash != self.schema.hash:
             raise SchemaHashError(
-                f"features hashed {schema_hash} but model was built for {self.schema_hash}"
+                f"features hashed {schema_hash} but model was built for {self.schema.hash}"
             )
 
     def _checked(self, features: np.ndarray, schema_hash: str | None) -> np.ndarray:
@@ -309,40 +308,19 @@ class Cam2Model:
                 f"{self.schema.arity()}")
         return features
 
-    @staticmethod
-    def _gather_input(tape: Tape, features: np.ndarray, indices: dict, block) -> Node:
-        """One input block's node: its dense columns, then an embedding per
-        categorical, looked up with the row's indices from `indices`."""
-        dense_index, _, tables = block
-        pieces = []
-        if dense_index is not None:
-            pieces.append(tape.constant(features[:, dense_index]))
-        for name, table in tables:
-            pieces.append(tape.embedding(table, indices[name]))
-        if not pieces:
-            return tape.constant(np.zeros((features.shape[0], 0)))
-        return pieces[0] if len(pieces) == 1 else tape.concat(pieces, axis=1)
-
     def forward(self, tape: Tape, features: np.ndarray,
                 schema_hash: str | None = None) -> ModelOutputs:
         features = self._checked(features, schema_hash)
         # each categorical column as int64 once, for every table that reads it
         indices = {name: features[:, col].astype(np.int64)
                    for name, col in self.schema.cat_col.items()}
-        shared_out = self.shared_bottom(
-            tape, self._gather_input(tape, features, indices, self._sb_inputs))
+        shared_out = self.shared_bottom(tape, _gather(tape, features, indices, self._sb_inputs))
 
         out = ModelOutputs(task_probs=[])
         spec = self.spec
         if spec.causal:
-            u_hat, i_hat, e_conf = self.conformity(
-                tape,
-                self._gather_input(tape, features, indices, self._conf_inputs["user"]),
-                self._gather_input(tape, features, indices, self._conf_inputs["item"]))
-            u_x, i_x, e_rel = self.relevance(
-                tape,
-                self._gather_input(tape, features, indices, self._rel_inputs["user"]),
-                self._gather_input(tape, features, indices, self._rel_inputs["item"]))
+            u_hat, i_hat, e_conf = self.conformity(tape, features, indices)
+            u_x, i_x, e_rel = self.relevance(tape, features, indices)
             if tape.recording:
                 out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
                 out.u_x, out.i_x = u_x, i_x
@@ -444,15 +422,12 @@ class Cam2Model:
 
     def _infer(self, features: np.ndarray, schema_hash: str | None, read) -> tuple:
         """read(outputs) -> tuple of per-row arrays, from gradless forwards over
-        INFER_CHUNK-row slices of features, stacked in row order. A single
-        chunk's arrays are returned as they are; more are copied, chunk by
-        chunk, into arrays allocated for all rows."""
+        INFER_CHUNK-row slices of features (one empty slice if there are no
+        rows), copied chunk by chunk into arrays allocated once for all rows."""
         features = self._checked(features, schema_hash)
         n = features.shape[0]
-        if n <= INFER_CHUNK:
-            return read(self.forward(Tape(grad=False), features))
         stacked = None
-        for lo in range(0, n, INFER_CHUNK):
+        for lo in range(0, max(n, 1), INFER_CHUNK):
             part = read(self.forward(Tape(grad=False), features[lo : lo + INFER_CHUNK]))
             if stacked is None:
                 stacked = tuple(np.empty((n, *a.shape[1:])) for a in part)

@@ -96,9 +96,10 @@ def _describe(node: dict, arrays: list) -> dict:
 
 
 def save_container(path, payload: dict, fmt: str = CHECKPOINT_FORMAT):
+    if not isinstance(payload, dict):
+        raise TypeError(f"container payload must be a dict, not {type(payload).__name__}")
     arrays = []
-    text = json.dumps(_describe(payload, arrays) if isinstance(payload, dict)
-                      else payload).encode()
+    text = json.dumps(_describe(payload, arrays)).encode()
     section, end = [], 0
     for offset, a in arrays:
         section += (bytes(offset - end), a)

@@ -147,7 +147,7 @@ def save_checkpoint(state: TrainState, path):
         "model_config": C.to_dict(state.model.config),
         "train_config": C.to_dict(state.train_cfg),
         "schema": [list(dataclasses.astuple(s)) for s in state.model.schema.specs],
-        "schema_hash": state.model.schema_hash,
+        "schema_hash": state.model.schema.hash,
         "last_day": state.last_day,
         "params": {p.name: p.value for p in state.model.parameters()},
         "adam": state.optimizer.state,

@@ -223,6 +223,18 @@ class TestTrain:
         assert "trained under config" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resume_with_nothing_left_to_train_refused(self, cli_env, trained_run, tmp_path,
+                                                       capsys):
+        """A checkpoint that trained every day before the holdout day exits 2
+        naming its last day, and writes nothing."""
+        _, cfg_path, data_dir = cli_env
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(out), "--resume",
+                         str(trained_run[0] / "checkpoint_Proposed_3.json")]) == 2
+        assert "trained through day 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_matches_straight_run(self, cli_env, trained_run, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env
         # a 2-day view of the same dataset: same files, manifest rewritten
@@ -426,6 +438,9 @@ class TestRank:
         ("header_only", "no rows"),
         ("nan_feature", "non-finite"),
         ("fractional_category", "out of vocab"),
+        ("fractional_item_id", "item id 3.7 in row 3"),
+        ("huge_item_id", "item id 1e+30 in row 3"),
+        ("nan_item_id", "item id nan in row 3"),
         ("no_header", "schema_hash"),
         ("no_schema_hash", "schema_hash"),
     ])
@@ -444,6 +459,11 @@ class TestRank:
         path = tmp_path / "bad.tsv"
         write_candidates_file(str(path), np.arange(features.shape[0]), features,
                               day["schema_hash"])
+        bad_id = {"fractional_item_id": "3.7", "huge_item_id": "1e30", "nan_item_id": "nan"}
+        if defect in bad_id:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[4] = bad_id[defect] + lines[4][lines[4].index("\t"):]
+            path.write_text("".join(lines))
         if defect in ("no_header", "no_schema_hash"):
             rows = path.read_text().splitlines(keepends=True)[1:]
             kept = [] if defect == "no_header" else [f"# n_features={features.shape[1]}\n"]
@@ -522,6 +542,27 @@ class TestReport:
         assert (metrics / "report.json").read_bytes() == old
         assert (metrics / "report.txt").exists()
         assert not [f for f in os.listdir(metrics) if f.endswith(".tmp")]
+
+    @pytest.mark.parametrize("defect,message", [
+        ("empty_object", "no 'variant' key"),
+        ("no_rows", "no rows"),
+        ("rows_not_a_list", "no rows"),
+        ("row_without_ne", "row 0 has no 'ne_aggregated' key"),
+        ("list", "not a JSON object"),
+        ("not_json", "is not JSON"),
+    ])
+    def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
+                                            message):
+        metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
+        bad = {"empty_object": {}, "no_rows": {**metrics, "rows": []},
+               "rows_not_a_list": {**metrics, "rows": 5},
+               "row_without_ne": {**metrics, "rows": [{}]}, "list": [metrics]}
+        path = tmp_path / "metrics_Proposed_3.json"
+        path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_empty_metrics_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2

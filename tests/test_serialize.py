@@ -88,9 +88,17 @@ def test_container_payload_must_hold_the_required_keys(tmp_path):
     assert S.load_container(path, fmt="confrank-test", keys=("a",)) == {"a": 1}
     with pytest.raises(S.CheckpointError, match="payload has no 'b'"):
         S.load_container(path, fmt="confrank-test", keys=("a", "b"))
-    S.save_container(path, [1], fmt="confrank-test")
+    write_v3(path, "confrank-test", b"[1]", b"")
     with pytest.raises(S.CheckpointError, match="not an object"):
         S.load_container(path, fmt="confrank-test")
+
+
+@pytest.mark.parametrize("payload", [[1, 2, 3], "text", None])
+def test_save_container_refuses_a_payload_that_is_not_a_dict(tmp_path, payload):
+    path = tmp_path / "c.json"
+    with pytest.raises(TypeError, match=type(payload).__name__):
+        S.save_container(str(path), payload, fmt="confrank-test")
+    assert not os.listdir(tmp_path)
 
 
 def test_container_detects_payload_tamper(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from confrank.config import TrainConfig
 from confrank.losses import DegenerateLabelsError
 from confrank.model import Cam2Model
 from confrank.serialize import CheckpointError
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -193,3 +196,21 @@ class TestCheckpoint:
             b = resumed.optimizer.state[name]
             assert a["t"] == b["t"]
             assert np.array_equal(a["m"], b["m"]) and np.array_equal(a["v"], b["v"])
+
+    @pytest.mark.parametrize("variant", ["Proposed", "JointLoss"])
+    def test_committed_checkpoint_loads_and_resaves_byte_identically(self, tiny_dataset,
+                                                                     tmp_path, variant):
+        """tests/data holds `confrank train` checkpoints of the tiny CLI config
+        written by an earlier build. Loading one and saving it again gives the
+        same bytes only while every parameter keeps its name, shape and order,
+        and the optimizer tracks exactly the trainable ones."""
+        path = DATA_DIR / f"checkpoint_{variant}_3.json"
+        state = T.load_checkpoint(path)
+        assert state.model.config.variant == variant and state.last_day == 2
+        again = tmp_path / "again.json"
+        T.save_checkpoint(state, again)
+        assert again.read_bytes() == path.read_bytes()
+        day = tiny_dataset[4][-1]
+        probs = state.model.predict(day["features"], day["schema_hash"])
+        assert probs.shape == day["labels"].shape
+        assert np.all((probs > 0.0) & (probs < 1.0))
