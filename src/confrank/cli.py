@@ -172,7 +172,6 @@ def cmd_train(args) -> int:
     state, rows = (T.resume_experiment(state, days) if args.resume else
                    T.run_experiment(model_cfg, cfg.train, days, schema,
                                     audit_first_batch=True))
-    T.check_finite_ne(rows)  # a diverged run writes nothing, and exits 3
 
     tag = f"{state.model.config.variant}_{state.model.config.seed}"
     ckpt_path = os.path.join(args.out, f"checkpoint_{tag}.json")
@@ -260,7 +259,15 @@ def _read_candidates(path):
                        "'# schema_hash=...' header line", EXIT_VALIDATION)
     if not rows:
         raise CliError(f"candidate file {path} has no rows", EXIT_VALIDATION)
-    mat = np.array(rows, dtype=np.float64)
+    mat = np.empty((len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        if len(row) != mat.shape[1]:
+            raise CliError(f"candidate file {path}: row {i} has {len(row)} columns but "
+                           f"row 0 has {mat.shape[1]}", EXIT_VALIDATION)
+        try:
+            mat[i] = row
+        except ValueError as e:
+            raise CliError(f"candidate file {path}: row {i}: {e}", EXIT_VALIDATION)
     ids = mat[:, 0]
     # float64 holds every integer below 2**53 exactly
     bad = np.flatnonzero(~((ids >= 0) & (ids < 2.0**53) & (ids == np.floor(ids))))
@@ -271,6 +278,16 @@ def _read_candidates(path):
 
 
 # -- report -------------------------------------------------------------
+
+
+# each key path of a metrics file's "ecosystem" that cmd_report renders
+_ECOSYSTEM_KEYS = (
+    *(("age_table", label, "rate") for label in E.AGE_BUCKET_LABELS),
+    ("tail", "counts"),
+    ("cohort", "window_days"),
+    *(("cohort", cohort, key) for cohort in ("casual", "non_casual")
+      for key in ("users", "mean_engagement", "mean_active_days")),
+)
 
 
 def _read_metrics(path) -> dict:
@@ -292,6 +309,13 @@ def _read_metrics(path) -> dict:
         if not isinstance(row, dict) or "ne_aggregated" not in row:
             raise CliError(f"metrics file {path} row {i} has no 'ne_aggregated' key",
                            EXIT_VALIDATION)
+    for keys in _ECOSYSTEM_KEYS:
+        node, name = run["ecosystem"], "ecosystem"
+        for key in keys:
+            name += f"[{key!r}]"
+            if not isinstance(node, dict) or key not in node:
+                raise CliError(f"metrics file {path} has no {name} key", EXIT_VALIDATION)
+            node = node[key]
     return run
 
 
@@ -317,9 +341,7 @@ def cmd_report(args) -> int:
         if variant not in by_variant:
             continue
         med = float(np.median(by_variant[variant]))
-        delta = (f"{100.0 * (med - base) / base:+.3f}%"
-                 if base is not None and variant != "Baseline" else
-                 ("+0.000%" if variant == "Baseline" and base is not None else "n/a"))
+        delta = "n/a" if base is None else f"{100.0 * (med - base) / base:+.3f}%"
         summary["ne"][variant] = {"median_ne": med, "runs": len(by_variant[variant]),
                                   "delta_vs_baseline": delta}
         lines.append(f"{variant:<12} {len(by_variant[variant]):>5} {med:>10.5f} {delta:>18}")

@@ -55,15 +55,14 @@ def final_score(task_probs, combine_weights=()) -> np.ndarray:
     return p @ w
 
 
-def rank_topk(model: Cam2Model, features: np.ndarray, item_ids, k: int,
-              combine_weights=(), user_id: int = -1,
+def rank_topk(model: Cam2Model, features: np.ndarray, item_ids, k: int, user_id: int = -1,
               schema_hash: str | None = None) -> RankedList:
     item_ids = np.asarray(item_ids, dtype=np.int64)
     if item_ids.size == 0:
         raise EvalError("empty candidate set")
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
-    scores = final_score(model.predict(features, schema_hash), combine_weights)
+    scores = final_score(model.predict(features, schema_hash))
     order = np.lexsort((item_ids, -scores))[: min(k, item_ids.size)]
     return RankedList(user_id, item_ids[order], scores[order])
 
@@ -258,7 +257,6 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
         for seed in seeds:
             cfg = dataclasses.replace(model_cfg, variant=variant, seed=seed)
             state, rows = T.run_experiment(cfg, train_cfg, days, schema)
-            T.check_finite_ne(rows)
             runs[(variant, seed)] = aggregate_ne(rows)
             models[seed][variant] = state.model
 

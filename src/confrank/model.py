@@ -5,10 +5,11 @@ engagement task. The causal addition is a pair of auxiliary modules, each a
 pair of residual towers (user side, item side):
 
   * conformity module — reads statistical engagement features, predicts
-    user/item conformity scalars and emits a conformity embedding;
+    user/item conformity scalars, combined as |u + i|, and emits a
+    conformity embedding;
   * relevance module — reads attribute/content features, predicts per-topic
-    user-affinity and item-membership probabilities and emits a relevance
-    embedding.
+    user-affinity and item-membership probabilities, combined as u * i, and
+    emits a relevance embedding.
 
 Both embeddings are concatenated into the task heads through a stop-gradient
 barrier, so task losses never push gradients into the causal modules. Each
@@ -39,7 +40,7 @@ from . import losses as L
 from .autodiff import Adam, Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
-from .schema import Schema
+from .schema import SIDES, Schema
 
 # Rows per gradless forward in predict and causal_embeddings, so inference
 # memory does not grow with the number of rows scored. A multiple of 4: with
@@ -64,15 +65,13 @@ class VariantError(ValueError):
 class ModelOutputs:
     """One forward pass: task probabilities plus causal-module readouts.
 
-    A forward on a gradless tape leaves the four readouts the losses need
-    (u_hat, i_hat, u_x, i_x) at None.
+    A forward on a gradless tape leaves the two predictions the losses need
+    (conformity, relevance) at None.
     """
 
     task_probs: list  # T nodes of shape [n]
-    u_hat: Node | None = None  # [n] user-conformity prediction
-    i_hat: Node | None = None  # [n] item-conformity prediction
-    u_x: Node | None = None  # [n, k] per-topic user affinity
-    i_x: Node | None = None  # [n, k] per-topic item membership
+    conformity: Node | None = None  # [n, 1] |u + i| of the conformity heads
+    relevance: Node | None = None  # [n, k] u * i of the per-topic heads
     e_conf: Node | None = None  # [n, d_e]
     e_rel: Node | None = None  # [n, d_e]
 
@@ -185,40 +184,39 @@ class _ResidualTower:
 
 
 class _CausalModule:
-    """A user and an item input block, each feeding a residual tower, plus
-    prediction heads and an embedding projection.
+    """Per side (user, item) an input block feeding a residual tower and a
+    sigmoid head, plus an embedding projection of both towers.
 
-    Only the losses read the heads, so a gradless tape skips them (None).
-    Only task losses can reach the projection, so behind a stop-gradient it
-    is a seeded constant, not a parameter, and runs on a gradless tape.
+    Returns (pred, embedding): pred = pair(tape, user head, item head) is the
+    module's prediction, which only the losses read, so a gradless tape skips
+    it (None). Only task losses can reach the projection, so behind a
+    stop-gradient it is a seeded constant, not a parameter, and runs on a
+    gradless tape.
     """
 
     def __init__(self, b: _Builder, schema: Schema, bucket: str, cfg: ModelConfig,
-                 stop_grad: bool, head_out: int):
-        self.inputs = {side: b.inputs(schema, cfg.embed_dim, bucket, side)
-                       for side in ("user", "item")}
+                 stop_grad: bool, head_out: int, pair):
+        self.inputs = {side: b.inputs(schema, cfg.embed_dim, bucket, side) for side in SIDES}
         width = cfg.tower_width
-        self.user_tower = _ResidualTower(b, "module/user", self.inputs["user"][1], width,
-                                         cfg.tower_blocks)
-        self.item_tower = _ResidualTower(b, "module/item", self.inputs["item"][1], width,
-                                         cfg.tower_blocks)
-        self.user_head = b.dense("module/user_head", width, head_out)
-        self.item_head = b.dense("module/item_head", width, head_out)
+        self.towers = {side: _ResidualTower(b, f"module/{side}", self.inputs[side][1], width,
+                                            cfg.tower_blocks) for side in SIDES}
+        self.heads = {side: b.dense(f"module/{side}_head", width, head_out) for side in SIDES}
         self.proj = b.dense("module/embed", 2 * width, cfg.causal_embed_dim,
                             trainable=not stop_grad)
         self.stop_grad = stop_grad
+        self.pair = pair
 
     def __call__(self, tape: Tape, features: np.ndarray, indices: dict):
-        up = self.user_tower(tape, _gather(tape, features, indices, self.inputs["user"]))
-        ip = self.item_tower(tape, _gather(tape, features, indices, self.inputs["item"]))
-        u_head = i_head = None
+        towers = [self.towers[side](tape, _gather(tape, features, indices, self.inputs[side]))
+                  for side in SIDES]
+        pred = None
         if tape.recording:
-            u_head = tape.sigmoid(tape.dense(up, *self.user_head))
-            i_head = tape.sigmoid(tape.dense(ip, *self.item_head))
+            pred = self.pair(tape, *(tape.sigmoid(tape.dense(t, *self.heads[side]))
+                                     for side, t in zip(SIDES, towers)))
         if not self.stop_grad:
-            return u_head, i_head, tape.dense(tape.concat([up, ip], axis=1), *self.proj)
-        towers = Node(np.concatenate([up.data, ip.data], axis=1))  # a stop-gradient read
-        return u_head, i_head, Tape(grad=False).dense(towers, *self.proj)
+            return pred, tape.dense(tape.concat(towers, axis=1), *self.proj)
+        frozen = Node(np.concatenate([t.data for t in towers], axis=1))  # a stop-gradient read
+        return pred, Tape(grad=False).dense(frozen, *self.proj)
 
 
 class Cam2Model:
@@ -247,7 +245,8 @@ class Cam2Model:
         if spec.causal:
             bucket_c, bucket_r = spec.tower_buckets
             cm = _Builder(cfg.seed, "conformity", 2)
-            self.conformity = _CausalModule(cm, self.schema, bucket_c, cfg, spec.stop_grad, 1)
+            self.conformity = _CausalModule(cm, self.schema, bucket_c, cfg, spec.stop_grad, 1,
+                                            lambda tape, u, i: tape.abs(tape.add(u, i)))
             self._groups["conformity"] = cm.params
             for side, (_, width, _) in self.conformity.inputs.items():
                 if width == 0:
@@ -257,7 +256,7 @@ class Cam2Model:
 
             rm = _Builder(cfg.seed, "relevance", 3)
             self.relevance = _CausalModule(rm, self.schema, bucket_r, cfg, spec.stop_grad,
-                                           self.k_topics)
+                                           self.k_topics, lambda tape, u, i: tape.mul(u, i))
             self._groups["relevance"] = rm.params
 
             self.mixture_logits = Parameter("mixture/logits", np.zeros((1, 2)))
@@ -308,9 +307,8 @@ class Cam2Model:
                 f"{self.schema.arity()}")
         return features
 
-    def forward(self, tape: Tape, features: np.ndarray,
-                schema_hash: str | None = None) -> ModelOutputs:
-        features = self._checked(features, schema_hash)
+    def forward(self, tape: Tape, features: np.ndarray) -> ModelOutputs:
+        features = self._checked(features, None)
         # each categorical column as int64 once, for every table that reads it
         indices = {name: features[:, col].astype(np.int64)
                    for name, col in self.schema.cat_col.items()}
@@ -319,11 +317,8 @@ class Cam2Model:
         out = ModelOutputs(task_probs=[])
         spec = self.spec
         if spec.causal:
-            u_hat, i_hat, e_conf = self.conformity(tape, features, indices)
-            u_x, i_x, e_rel = self.relevance(tape, features, indices)
-            if tape.recording:
-                out.u_hat, out.i_hat = tape.sum(u_hat, axis=1), tape.sum(i_hat, axis=1)
-                out.u_x, out.i_x = u_x, i_x
+            out.conformity, e_conf = self.conformity(tape, features, indices)
+            out.relevance, e_rel = self.relevance(tape, features, indices)
             out.e_conf, out.e_rel = e_conf, e_rel
             if spec.stop_grad:
                 e_conf, e_rel = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
@@ -347,13 +342,13 @@ class Cam2Model:
     def _mixture(self, tape: Tape, out: ModelOutputs, flags: np.ndarray) -> Node:
         """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel) given the item
         topic flags; only the two mixture logits receive gradient from its
-        loss, so Pr(t|Conf) and Pr(t|Rel) are arrays off stop-gradient reads."""
+        loss, so Pr(t|Conf) and Pr(t|Rel) are arrays off stop-gradient reads
+        of the two module predictions."""
         lo, hi = L.PROB_CLIP, 1.0 - L.PROB_CLIP
-        u_hat, i_hat, u_x, i_x = (tape.stop_gradient(n).data
-                                  for n in (out.u_hat, out.i_hat, out.u_x, out.i_x))
-        p_conf = tape.constant(clamp(np.abs(u_hat + i_hat), lo, hi))
+        conf, rel = (tape.stop_gradient(n).data for n in (out.conformity, out.relevance))
+        p_conf = tape.constant(clamp(conf[:, 0], lo, hi))
         denom = np.maximum(flags.sum(axis=1), 1.0)
-        p_rel = tape.constant(clamp((u_x * i_x * flags).sum(axis=1) * (1.0 / denom), lo, hi))
+        p_rel = tape.constant(clamp((rel * flags).sum(axis=1) * (1.0 / denom), lo, hi))
         w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, 2]
         w1 = tape.sum(tape.slice_cols(w, 0, 1), axis=1)  # [1]
         w2 = tape.sum(tape.slice_cols(w, 1, 2), axis=1)
@@ -383,8 +378,8 @@ class Cam2Model:
                 c_bar = (1 - lam) * c_bar + lam * anchor
                 r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * flags
             terms.update(zip(CAUSAL_TERMS, (
-                self._conformity_node(tape, outs, c_bar),
-                self._relevance_node(tape, outs, r_bar),
+                self._residual_loss(tape, outs.conformity, c_bar[:, None]),
+                self._residual_loss(tape, outs.relevance, r_bar),
                 tape.bce(self._mixture(tape, outs, flags), anchor,
                          L.PROB_CLIP, 1.0 - L.PROB_CLIP))))
         return outs, terms
@@ -404,16 +399,10 @@ class Cam2Model:
             objective = tape.add(objective, n)
         return objective, outs, terms
 
-    def _conformity_node(self, tape: Tape, outs: ModelOutputs, c_bar) -> Node:
-        s = tape.abs(tape.add(outs.u_hat, outs.i_hat))
-        resid = tape.abs(tape.sub(tape.constant(c_bar), s))
-        if self.config.squared_causal_loss:
-            resid = tape.mul(resid, resid)
-        return tape.mean(resid)
-
-    def _relevance_node(self, tape: Tape, outs: ModelOutputs, r_bar) -> Node:
-        prod = tape.mul(outs.u_x, outs.i_x)
-        resid = tape.abs(tape.sub(tape.constant(r_bar), prod))
+    def _residual_loss(self, tape: Tape, pred: Node, target: np.ndarray) -> Node:
+        """Row mean of sum over columns of |target - pred| (squared if
+        config.squared_causal_loss); pred and target are [n, columns]."""
+        resid = tape.abs(tape.sub(tape.constant(target), pred))
         if self.config.squared_causal_loss:
             resid = tape.mul(resid, resid)
         return tape.mean(tape.sum(resid, axis=1))

@@ -46,6 +46,9 @@ class FeatureSpec:
             raise SchemaError(f"{self.name} width must be >= 1")
 
 
+SIDES = ("user", "item")
+
+
 def _side(name: str) -> str:
     return "user" if name.startswith("user_") else "item"
 

@@ -106,14 +106,13 @@ def evaluate_ne(model: Cam2Model, day_data: dict) -> tuple:
     return ne, float(np.mean(ne))
 
 
-def check_finite_ne(rows: list):
-    """Raise NonFiniteMetricError at the first MetricsRow whose NE, per task
-    or aggregated, is not finite."""
-    for r in rows:
-        if not np.all(np.isfinite((*r.ne_per_task, r.ne_aggregated))):
-            raise NonFiniteMetricError(
-                f"{r.variant} seed {r.seed}: holdout day {r.day} NE is not finite "
-                f"(aggregated {r.ne_aggregated}, per task {list(r.ne_per_task)})")
+def check_finite_ne(r: MetricsRow):
+    """Raise NonFiniteMetricError if the row's NE, per task or aggregated, is
+    not finite."""
+    if not np.all(np.isfinite((*r.ne_per_task, r.ne_aggregated))):
+        raise NonFiniteMetricError(
+            f"{r.variant} seed {r.seed}: holdout day {r.day} NE is not finite "
+            f"(aggregated {r.ne_aggregated}, per task {list(r.ne_per_task)})")
 
 
 def run_experiment(model_cfg: C.ModelConfig, train_cfg: C.TrainConfig,
@@ -188,7 +187,8 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
 def resume_experiment(state: TrainState, days: list):
     """Prequential loop: evaluate day d+1, after having trained through d.
     Days the state has already trained on are skipped, so a checkpointed
-    run continues over the remaining days."""
+    run continues over the remaining days. A diverged run stops at its first
+    non-finite holdout NE (check_finite_ne)."""
     rows = []
     for d in range(len(days) - 1):
         if days[d]["day"] <= state.last_day:
@@ -197,4 +197,5 @@ def resume_experiment(state: TrainState, days: list):
         ne, agg = evaluate_ne(state.model, days[d + 1])
         rows.append(MetricsRow(state.model.config.variant, state.model.config.seed,
                                days[d + 1]["day"], ne, agg, losses))
+        check_finite_ne(rows[-1])
     return state, rows

@@ -443,6 +443,8 @@ class TestRank:
         ("nan_item_id", "item id nan in row 3"),
         ("no_header", "schema_hash"),
         ("no_schema_hash", "schema_hash"),
+        ("short_row", "bad.tsv: row 3 has 5 columns but row 0 has"),
+        ("non_numeric_cell", "bad.tsv: row 3: could not convert string to float: 'abc'"),
     ])
     def test_malformed_candidates_refused(self, cli_env, ckpt, tmp_path, capsys, defect,
                                           message):
@@ -463,6 +465,12 @@ class TestRank:
         if defect in bad_id:
             lines = path.read_text().splitlines(keepends=True)
             lines[4] = bad_id[defect] + lines[4][lines[4].index("\t"):]
+            path.write_text("".join(lines))
+        if defect in ("short_row", "non_numeric_cell"):
+            lines = path.read_text().splitlines(keepends=True)
+            cells = lines[4].split("\t")
+            cells = cells[:5] if defect == "short_row" else cells[:2] + ["abc"] + cells[3:]
+            lines[4] = "\t".join(cells).rstrip("\n") + "\n"
             path.write_text("".join(lines))
         if defect in ("no_header", "no_schema_hash"):
             rows = path.read_text().splitlines(keepends=True)[1:]
@@ -550,19 +558,55 @@ class TestReport:
         ("row_without_ne", "row 0 has no 'ne_aggregated' key"),
         ("list", "not a JSON object"),
         ("not_json", "is not JSON"),
+        ("empty_ecosystem", "no ecosystem['age_table'] key"),
+        ("age_bucket_without_rate", "no ecosystem['age_table']['[10+ days)']['rate'] key"),
+        ("tail_without_counts", "no ecosystem['tail']['counts'] key"),
+        ("cohort_without_window", "no ecosystem['cohort']['window_days'] key"),
+        ("casual_without_users", "no ecosystem['cohort']['casual']['users'] key"),
+        ("non_casual_without_active_days",
+         "no ecosystem['cohort']['non_casual']['mean_active_days'] key"),
     ])
     def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
                                             message):
         metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
+
+        def without(*keys):
+            """A copy of metrics without ecosystem[keys[0]]...[keys[-1]]."""
+            bad = json.loads(json.dumps(metrics))
+            node = bad["ecosystem"]
+            for key in keys[:-1]:
+                node = node[key]
+            del node[keys[-1]]
+            return bad
+
         bad = {"empty_object": {}, "no_rows": {**metrics, "rows": []},
                "rows_not_a_list": {**metrics, "rows": 5},
-               "row_without_ne": {**metrics, "rows": [{}]}, "list": [metrics]}
+               "row_without_ne": {**metrics, "rows": [{}]}, "list": [metrics],
+               "empty_ecosystem": {**metrics, "ecosystem": {}},
+               "age_bucket_without_rate": without("age_table", "[10+ days)", "rate"),
+               "tail_without_counts": without("tail", "counts"),
+               "cohort_without_window": without("cohort", "window_days"),
+               "casual_without_users": without("cohort", "casual", "users"),
+               "non_casual_without_active_days": without("cohort", "non_casual",
+                                                         "mean_active_days")}
         path = tmp_path / "metrics_Proposed_3.json"
         path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and message in err
-        assert not (tmp_path / "report.txt").exists()
+        assert not list(tmp_path.glob("report.*"))
+
+    def test_delta_vs_baseline(self, trained_run, tmp_path, capsys):
+        metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
+        baseline = {**metrics, "variant": "Baseline",
+                    "rows": [{**r, "ne_aggregated": 2 * r["ne_aggregated"]}
+                             for r in metrics["rows"]]}
+        (tmp_path / "metrics_Proposed_3.json").write_text(json.dumps(metrics))
+        (tmp_path / "metrics_Baseline_3.json").write_text(json.dumps(baseline))
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 0
+        ne = json.loads((tmp_path / "report.json").read_text())["ne"]
+        assert ne["Baseline"]["delta_vs_baseline"] == "+0.000%"
+        assert ne["Proposed"]["delta_vs_baseline"] == "-50.000%"
 
     def test_empty_metrics_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2

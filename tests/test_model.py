@@ -14,8 +14,8 @@ from confrank.autodiff import Tape
 from confrank.config import VARIANTS, ModelConfig, TrainConfig
 from confrank.labels import causal_labels
 from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
-                            _column_index, check_decoupling, gradient_provenance)
-from confrank.schema import (ATTRIBUTE, DENSE, STATISTICAL, FeatureSpec,
+                            _column_index, _gather, check_decoupling, gradient_provenance)
+from confrank.schema import (ATTRIBUTE, DENSE, SIDES, STATISTICAL, FeatureSpec,
                              validate_schema)
 
 
@@ -34,6 +34,18 @@ def build(schema, **over):
 def targets(model, features, labels, x):
     return causal_labels(labels[:, 0], x, model.config.thresh,
                          model.topic_flags(features))
+
+
+def raw_heads(model, module, features):
+    """[user head, item head] of a causal module: each side's sigmoid head
+    over its tower, recomputed from module.towers and module.heads."""
+    tape = Tape(grad=False)
+    indices = {name: features[:, col].astype(np.int64)
+               for name, col in model.schema.cat_col.items()}
+    return [tape.sigmoid(tape.dense(
+                module.towers[side](tape, _gather(tape, features, indices, module.inputs[side])),
+                *module.heads[side])).data
+            for side in SIDES]
 
 
 class TestBuild:
@@ -321,23 +333,24 @@ class TestGradientProvenance:
         lam, anchor = model.config.joint_label_mix, labels[:, 0]
         flags = model.topic_flags(features)
         cases = {
-            "conformity_loss": (model._conformity_node, causal.conformity,
-                                (1 - lam) * causal.conformity + lam * anchor),
-            "relevance_loss": (model._relevance_node, causal.per_interest,
+            "conformity_loss": ("conformity", causal.conformity[:, None],
+                                ((1 - lam) * causal.conformity + lam * anchor)[:, None]),
+            "relevance_loss": ("relevance", causal.per_interest,
                                (1 - lam) * causal.per_interest + lam * anchor[:, None] * flags),
         }
 
-        def group_grads(loss_node, target):
+        def group_grads(pred, target):
             model.zero_grads()
             tape = Tape()
-            tape.backward(loss_node(tape, model.forward(tape, features), target))
+            outs = model.forward(tape, features)
+            tape.backward(model._residual_loss(tape, getattr(outs, pred), target))
             return {g: max(float(np.abs(p.grad).max()) for p in ps)
                     for g, ps in model.groups().items()}
 
         prov = gradient_provenance(model, features, labels, x)
-        for comp, (loss_node, raw, blended) in cases.items():
-            assert prov[comp] == group_grads(loss_node, blended)
-            assert prov[comp] != group_grads(loss_node, raw)
+        for comp, (pred, raw, blended) in cases.items():
+            assert prov[comp] == group_grads(pred, blended)
+            assert prov[comp] != group_grads(pred, raw)
 
     def test_check_decoupling_passes_all_variants(self, batch):
         schema, features, labels, x = batch
@@ -408,12 +421,14 @@ class TestTrainingObjective:
         causal = targets(model, features, labels, x)
         tape = Tape()
         _, outs, terms = model.training_objective(tape, features, labels, x)
-        u, i = outs.u_hat.data, outs.i_hat.data
+        (u, i), (u_x, i_x) = (raw_heads(model, m, features)
+                              for m in (model.conformity, model.relevance))
+        assert outs.conformity.data.tobytes() == np.abs(u + i).tobytes()
+        assert outs.relevance.data.tobytes() == (u_x * i_x).tobytes()
         assert float(terms["conformity_loss"].data) == pytest.approx(
-            conformity_loss(causal.conformity, u, i), abs=1e-12)
+            conformity_loss(causal.conformity, u[:, 0], i[:, 0]), abs=1e-12)
         assert float(terms["relevance_loss"].data) == pytest.approx(
-            relevance_loss(causal.per_interest, outs.u_x.data, outs.i_x.data),
-            abs=1e-12)
+            relevance_loss(causal.per_interest, u_x, i_x), abs=1e-12)
         for t in range(labels.shape[1]):
             assert float(terms[f"task{t}"].data) == pytest.approx(
                 L.bce(outs.task_probs[t].data, labels[:, t]), abs=1e-12)
@@ -447,10 +462,11 @@ class TestTrainingObjective:
         outs = model.forward(tape, features)
         flags = model.topic_flags(features)
         mix = model._mixture(tape, outs, flags)
+        (u, i), (u_x, i_x) = (raw_heads(model, m, features)
+                              for m in (model.conformity, model.relevance))
         clip = lambda p: np.clip(p, L.PROB_CLIP, 1.0 - L.PROB_CLIP)
-        p_conf = clip(np.abs(outs.u_hat.data + outs.i_hat.data))
-        p_rel = clip((outs.u_x.data * outs.i_x.data * flags).sum(axis=1)
-                     / np.maximum(flags.sum(axis=1), 1.0))
+        p_conf = clip(np.abs(u[:, 0] + i[:, 0]))
+        p_rel = clip((u_x * i_x * flags).sum(axis=1) / np.maximum(flags.sum(axis=1), 1.0))
         expected = mixture_decomposition(p_conf, p_rel,
                                          *mixture_weights(model.mixture_logits.value[0]))
         assert mix.data.shape == expected.shape

@@ -124,6 +124,20 @@ class TestRunExperiment:
                 T.run_experiment(tiny_model_config(), TrainConfig(batch_size=64),
                                  [days[0], holdout], schema)
 
+    def test_diverged_run_stops_at_its_first_non_finite_ne(self, tiny_dataset, monkeypatch):
+        _, _, schema, _, days = tiny_dataset
+        nan_day = dict(days[1])
+        nan_day["features"] = nan_day["features"].copy()
+        nan_day["features"][0, 0] = np.nan
+        trained = []
+        train_day = T.train_day
+        monkeypatch.setattr(T, "train_day",
+                            lambda state, day: trained.append(day["day"]) or train_day(state, day))
+        with pytest.raises(T.NonFiniteMetricError, match="Proposed seed 3: holdout day 1 NE"):
+            T.run_experiment(tiny_model_config(), TrainConfig(batch_size=64),
+                             [days[0], nan_day, *days[2:]], schema, audit_first_batch=False)
+        assert trained == [0]
+
     @pytest.mark.parametrize("variant", ["Baseline", "Proposed"])
     def test_audit_uses_first_day_with_events(self, tiny_dataset, monkeypatch, variant):
         """A day 0 without events moves the first-batch audit to day 1; with
