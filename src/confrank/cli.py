@@ -234,8 +234,7 @@ def cmd_rank(args) -> int:
     item_ids, features, schema_hash = _read_candidates(args.candidates)
     try:
         state.model.schema.check_rows(features)
-        ranked = E.rank_topk(state.model, features, item_ids, args.k,
-                             user_id=args.user, schema_hash=schema_hash)
+        ranked = E.rank_topk(state.model, features, item_ids, args.k, schema_hash=schema_hash)
     except Exception as e:
         raise CliError(f"ranking failed: {e}", EXIT_VALIDATION)
     for item, score in zip(ranked.item_ids, ranked.scores):
@@ -300,7 +299,7 @@ def _read_metrics(path) -> dict:
             raise CliError(f"metrics file {path} is not JSON: {e}", EXIT_VALIDATION)
     if not isinstance(run, dict):
         raise CliError(f"metrics file {path} is not a JSON object", EXIT_VALIDATION)
-    for key in ("variant", "rows", "ecosystem"):
+    for key in ("variant", "dataset_config_hash", "rows", "ecosystem"):
         if key not in run:
             raise CliError(f"metrics file {path} has no {key!r} key", EXIT_VALIDATION)
     if not isinstance(run["rows"], list) or not run["rows"]:
@@ -322,11 +321,20 @@ def _read_metrics(path) -> dict:
 def cmd_report(args) -> int:
     if not os.path.isdir(args.metrics):
         raise CliError(f"metrics directory {args.metrics} does not exist", EXIT_VALIDATION)
-    files = sorted(f for f in os.listdir(args.metrics)
+    paths = sorted(os.path.join(args.metrics, f) for f in os.listdir(args.metrics)
                    if f.startswith("metrics_") and f.endswith(".json"))
-    if not files:
+    if not paths:
         raise CliError(f"no metrics found in {args.metrics}", EXIT_VALIDATION)
-    runs = [_read_metrics(os.path.join(args.metrics, f)) for f in files]
+    runs = [_read_metrics(path) for path in paths]
+    dataset = runs[0]["dataset_config_hash"]
+    for path, run in zip(paths, runs):
+        if run["variant"] not in C.VARIANTS:
+            raise CliError(f"metrics file {path} has unknown variant {run['variant']!r}; "
+                           f"the variants are {', '.join(C.VARIANTS)}", EXIT_VALIDATION)
+        if run["dataset_config_hash"] != dataset:
+            raise CliError(f"metrics files {paths[0]} and {path} come from different datasets "
+                           f"(dataset_config_hash {dataset} vs {run['dataset_config_hash']})",
+                           EXIT_VALIDATION)
 
     by_variant = {}
     for run in runs:
@@ -416,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rank", help="score a candidate file with a checkpoint")
     r.add_argument("--checkpoint", required=True)
-    r.add_argument("--user", type=int, default=-1)
     r.add_argument("--candidates", required=True)
     r.add_argument("-k", type=int, default=10)
     r.set_defaults(func=cmd_rank)

@@ -19,10 +19,10 @@ from .schema import ATTRIBUTE, STATISTICAL
 class VariantSpec:
     """The wiring choices one model variant makes; see model.py."""
 
-    causal: bool  # builds the conformity and relevance modules
+    causal: bool  # builds the model.CAUSAL modules
     inject_at: str = "bottom"  # causal embeddings join the head input or its last layer
     stop_grad: bool = True  # task losses cannot reach the causal modules
-    tower_buckets: tuple = (STATISTICAL, ATTRIBUTE)  # conformity, relevance; None = all
+    tower_buckets: tuple = (STATISTICAL, ATTRIBUTE)  # per model.CAUSAL module; None = all
     joint_mix: bool = False  # causal targets blended with the anchor label
 
 
@@ -88,7 +88,7 @@ class ModelConfig:
     embed_dim: int = 8  # per categorical feature
     causal_embed_dim: int = 16  # width of each causal embedding
     task_weights: tuple = (1.0, 1.0, 1.0)
-    conformity_weight: float = 0.3
+    conformity_weight: float = 0.3  # <name>_weight per model.CAUSAL module
     relevance_weight: float = 0.3
     mixture_weight: float = 0.1  # diagnostic mixture head, own loss term
     thresh: float = 0.6
@@ -134,8 +134,6 @@ class TrainConfig:
 
 @dataclass
 class EvalConfig:
-    combine_weights: tuple = ()  # empty → all-ones over tasks
-    tail_quantiles: tuple = (0.5, 0.75)
     replay_users: int = 300
     replay_candidates: int = 100
     replay_k: int = 10

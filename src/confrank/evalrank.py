@@ -18,7 +18,7 @@ import numpy as np
 from . import trainer as T
 from .config import EvalConfig, ModelConfig, TrainConfig, VARIANTS
 from .datagen import DayLog, History, World, derive_features, engagement_probability
-from .model import Cam2Model
+from .model import CAUSAL, Cam2Model
 from .schema import Schema
 
 # Published aggregated-NE deltas, reprinted for context only; desk-scale runs
@@ -29,6 +29,10 @@ REFERENCE_DELTAS_PCT = {
     "JointLoss": -0.016,
     "AllFeats": +0.029,
 }
+
+
+# each causal module's embedding key in disentanglement_probe's result
+PROBE_KEYS = {"conformity": "e_conf", "relevance": "e_rel"}
 
 
 class EvalError(ValueError):
@@ -42,17 +46,10 @@ class RankedList:
     scores: np.ndarray
 
 
-def final_score(task_probs, combine_weights=()) -> np.ndarray:
-    """Weighted sum of per-task probabilities; default weights all one."""
+def final_score(task_probs) -> np.ndarray:
+    """Each row's sum of per-task probabilities."""
     p = np.atleast_2d(np.asarray(task_probs, dtype=np.float64))
-    if not len(combine_weights):
-        return p @ np.ones(p.shape[1])
-    w = np.asarray(combine_weights, dtype=np.float64)
-    if w.shape[0] != p.shape[1]:
-        raise EvalError(f"{w.shape[0]} combine weights for {p.shape[1]} tasks")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise EvalError("combine weights must be >= 0 and not all zero")
-    return p @ w
+    return p @ np.ones(p.shape[1])
 
 
 def rank_topk(model: Cam2Model, features: np.ndarray, item_ids, k: int, user_id: int = -1,
@@ -146,19 +143,15 @@ def disentanglement_probe(model: Cam2Model, world: World, features: np.ndarray,
                           users, items) -> dict:
     """Probe each causal embedding for popularity vs interest-alignment signal.
 
-    Returns an R^2 matrix over {conformity, relevance} embeddings x
-    {popularity, alignment} ground-truth targets.
+    Returns an R^2 matrix over the causal embeddings, keyed as in
+    PROBE_KEYS, x {popularity, alignment} ground-truth targets.
     """
-    e_conf, e_rel = model.causal_embeddings(features)
     pop = world.z_log_pop[np.asarray(items)]
     align = np.einsum("nk,nk->n", world.interests[np.asarray(users)],
                       world.topics[np.asarray(items)])
-    return {
-        "e_conf": {"popularity": linear_probe_r2(e_conf, pop),
-                   "alignment": linear_probe_r2(e_conf, align)},
-        "e_rel": {"popularity": linear_probe_r2(e_rel, pop),
-                  "alignment": linear_probe_r2(e_rel, align)},
-    }
+    return {PROBE_KEYS[name]: {"popularity": linear_probe_r2(e, pop),
+                               "alignment": linear_probe_r2(e, align)}
+            for name, e in zip(CAUSAL, model.causal_embeddings(features), strict=True)}
 
 
 # -- counterfactual replay ---------------------------------------------
@@ -187,8 +180,7 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
     shown_users = np.repeat(users, k)
     out = {}
     for name, model in models.items():
-        scores = final_score(model.predict(features),
-                             eval_cfg.combine_weights).reshape(len(users), n_cand)
+        scores = final_score(model.predict(features)).reshape(len(users), n_cand)
         # each user's top k (descending score, ties by item id), users in order
         order = np.lexsort((cand, -scores), axis=1)[:, :k]
         shown = np.take_along_axis(cand, order, axis=1).reshape(-1)
@@ -198,8 +190,7 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
         item_exp = np.zeros(world.n_items)
         np.add.at(item_eng, shown, p)
         np.add.at(item_exp, shown, 1.0)
-        cov = tail_coverage(item_eng, eval_cfg.tail_quantiles,
-                            popularity=world.popularity, item_exposures=item_exp)
+        cov = tail_coverage(item_eng, popularity=world.popularity, item_exposures=item_exp)
         out[name] = {"item_engagements": item_eng, "item_exposures": item_exp, **cov}
     return out
 

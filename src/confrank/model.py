@@ -1,8 +1,8 @@
 """Variant-wired multi-task ranking network with causal auxiliary modules.
 
 The production-shaped part is a shared-bottom MLP feeding one small head per
-engagement task. The causal addition is a pair of auxiliary modules, each a
-pair of residual towers (user side, item side):
+engagement task. The causal addition is one auxiliary module per name in
+`CAUSAL`, each a pair of residual towers (user side, item side):
 
   * conformity module — reads statistical engagement features, predicts
     user/item conformity scalars, combined as |u + i|, and emits a
@@ -11,7 +11,7 @@ pair of residual towers (user side, item side):
     user-affinity and item-membership probabilities, combined as u * i, and
     emits a relevance embedding.
 
-Both embeddings are concatenated into the task heads through a stop-gradient
+The embeddings are concatenated into the task heads through a stop-gradient
 barrier, so task losses never push gradients into the causal modules. Each
 variant is a `config.VariantSpec`; the ablations rewire exactly one choice
 of the reference wiring (Proposed) at a time:
@@ -32,7 +32,7 @@ loss term, for training and for the decoupling audit alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +49,11 @@ from .schema import SIDES, Schema
 # of 4 keep chunked results bit-identical to one full-batch forward.
 INFER_CHUNK = 2048
 
-GROUPS = ("shared_bottom", "task_heads", "conformity", "relevance", "mixture")
-CAUSAL_TERMS = ("conformity_loss", "relevance_loss", "mixture_loss")
+# The causal modules, in order: each is a Cam2Model attribute and parameter
+# group, a CausalLabels target and a loss term weighted by <name>_weight.
+CAUSAL = ("conformity", "relevance")
+GROUPS = ("shared_bottom", "task_heads", *CAUSAL, "mixture")
+CAUSAL_TERMS = (*(f"{name}_loss" for name in CAUSAL), "mixture_loss")
 
 
 class SchemaHashError(ValueError):
@@ -63,17 +66,13 @@ class VariantError(ValueError):
 
 @dataclass
 class ModelOutputs:
-    """One forward pass: task probabilities plus causal-module readouts.
-
-    A forward on a gradless tape leaves the two predictions the losses need
-    (conformity, relevance) at None.
-    """
+    """One forward pass: task probabilities plus, keyed by causal module
+    name, each module's prediction ([n, head width]; None on a gradless
+    tape, as only the losses read it) and embedding ([n, d_e])."""
 
     task_probs: list  # T nodes of shape [n]
-    conformity: Node | None = None  # [n, 1] |u + i| of the conformity heads
-    relevance: Node | None = None  # [n, k] u * i of the per-topic heads
-    e_conf: Node | None = None  # [n, d_e]
-    e_rel: Node | None = None  # [n, d_e]
+    preds: dict = field(default_factory=dict)
+    embeddings: dict = field(default_factory=dict)
 
 
 def _column_index(cols: list):
@@ -242,29 +241,30 @@ class Cam2Model:
                                   relu_last=True)
         self._groups["shared_bottom"] = sb.params
 
-        if spec.causal:
-            bucket_c, bucket_r = spec.tower_buckets
-            cm = _Builder(cfg.seed, "conformity", 2)
-            self.conformity = _CausalModule(cm, self.schema, bucket_c, cfg, spec.stop_grad, 1,
-                                            lambda tape, u, i: tape.abs(tape.add(u, i)))
-            self._groups["conformity"] = cm.params
-            for side, (_, width, _) in self.conformity.inputs.items():
+        # per CAUSAL module: builder stream, head width, pair op and topic
+        # mask, the topic-flag columns its target and mixture readout use
+        modules = ((2, 1, lambda tape, u, i: tape.abs(tape.add(u, i)),
+                    lambda flags: np.ones((flags.shape[0], 1))),
+                   (3, self.k_topics, lambda tape, u, i: tape.mul(u, i), lambda flags: flags))
+        self._topic_masks = {}  # causal module name -> topic mask
+        for name, bucket, (stream, head_out, pair, mask) in zip(
+                CAUSAL, spec.tower_buckets, modules, strict=True) if spec.causal else ():
+            b = _Builder(cfg.seed, name, stream)
+            module = _CausalModule(b, self.schema, bucket, cfg, spec.stop_grad, head_out, pair)
+            for side, (_, width, _) in module.inputs.items():
                 if width == 0:
-                    raise VariantError(
-                        f"variant {cfg.variant} needs at least one {side}-side "
-                        "statistical feature for the conformity module")
-
-            rm = _Builder(cfg.seed, "relevance", 3)
-            self.relevance = _CausalModule(rm, self.schema, bucket_r, cfg, spec.stop_grad,
-                                           self.k_topics, lambda tape, u, i: tape.mul(u, i))
-            self._groups["relevance"] = rm.params
-
-            self.mixture_logits = Parameter("mixture/logits", np.zeros((1, 2)))
+                    raise VariantError(f"variant {cfg.variant} needs at least one {side}-side "
+                                       f"{bucket or 'any'} feature for the {name} module")
+            setattr(self, name, module)
+            self._groups[name] = b.params
+            self._topic_masks[name] = mask
+        if spec.causal:
+            self.mixture_logits = Parameter("mixture/logits", np.zeros((1, len(CAUSAL))))
             self._groups["mixture"] = [self.mixture_logits]
 
         th = _Builder(cfg.seed, "task_heads", 1)
         head_in = cfg.shared_widths[-1]
-        extra = 2 * cfg.causal_embed_dim if spec.causal else 0
+        extra = len(CAUSAL) * cfg.causal_embed_dim if spec.causal else 0
         last = spec.inject_at == "last"
         self.task_heads = [
             _Mlp(th, f"task{t}", head_in + (0 if last else extra), cfg.head_widths,
@@ -315,21 +315,18 @@ class Cam2Model:
         shared_out = self.shared_bottom(tape, _gather(tape, features, indices, self._sb_inputs))
 
         out = ModelOutputs(task_probs=[])
-        spec = self.spec
-        if spec.causal:
-            out.conformity, e_conf = self.conformity(tape, features, indices)
-            out.relevance, e_rel = self.relevance(tape, features, indices)
-            out.e_conf, out.e_rel = e_conf, e_rel
-            if spec.stop_grad:
-                e_conf, e_rel = tape.stop_gradient(e_conf), tape.stop_gradient(e_rel)
+        for name in CAUSAL if self.spec.causal else ():
+            out.preds[name], out.embeddings[name] = getattr(self, name)(tape, features, indices)
+        embeddings = [tape.stop_gradient(e) if self.spec.stop_grad else e
+                      for e in out.embeddings.values()]
 
         # one head input for every head: their input gradients accumulate
         # into it in reverse head order, as into three separate concats
         head_in, before_last = shared_out, None
-        if spec.causal and spec.inject_at == "last":
-            before_last = tape.concat([e_conf, e_rel], axis=1)
-        elif spec.causal:
-            head_in = tape.concat([shared_out, e_conf, e_rel], axis=1)
+        if embeddings and self.spec.inject_at == "last":
+            before_last = tape.concat(embeddings, axis=1)
+        elif embeddings:
+            head_in = tape.concat([shared_out, *embeddings], axis=1)
         for head in self.task_heads:
             logit = head(tape, head_in, stop_before_last=before_last)
             out.task_probs.append(self._squeeze_prob(tape, logit))
@@ -340,19 +337,20 @@ class Cam2Model:
         return tape.sum(p, axis=1)  # [n, 1] -> [n]
 
     def _mixture(self, tape: Tape, out: ModelOutputs, flags: np.ndarray) -> Node:
-        """Diagnostic Pr(t) = w1 Pr(t|Conf) + w2 Pr(t|Rel) given the item
-        topic flags; only the two mixture logits receive gradient from its
-        loss, so Pr(t|Conf) and Pr(t|Rel) are arrays off stop-gradient reads
-        of the two module predictions."""
+        """Diagnostic Pr(t) = sum over causal modules m of w_m Pr(t|m), with
+        Pr(t|m) the mean of m's prediction over its topic mask of the item
+        topic flags. Only the mixture logits receive gradient from its loss,
+        so each Pr(t|m) is an array off a stop-gradient read of m's pred."""
         lo, hi = L.PROB_CLIP, 1.0 - L.PROB_CLIP
-        conf, rel = (tape.stop_gradient(n).data for n in (out.conformity, out.relevance))
-        p_conf = tape.constant(clamp(conf[:, 0], lo, hi))
-        denom = np.maximum(flags.sum(axis=1), 1.0)
-        p_rel = tape.constant(clamp((rel * flags).sum(axis=1) * (1.0 / denom), lo, hi))
-        w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, 2]
-        w1 = tape.sum(tape.slice_cols(w, 0, 1), axis=1)  # [1]
-        w2 = tape.sum(tape.slice_cols(w, 1, 2), axis=1)
-        return tape.add(tape.mul(w1, p_conf), tape.mul(w2, p_rel))
+        w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, len(CAUSAL)]
+        mix = None
+        for m, name in enumerate(CAUSAL):
+            pred, mask = tape.stop_gradient(out.preds[name]).data, self._topic_masks[name](flags)
+            denom = np.maximum(mask.sum(axis=1), 1.0)
+            p = tape.constant(clamp((pred * mask).sum(axis=1) * (1.0 / denom), lo, hi))
+            term = tape.mul(tape.sum(tape.slice_cols(w, m, m + 1), axis=1), p)  # [1] * [n]
+            mix = term if mix is None else tape.add(mix, term)
+        return mix
 
     def topic_flags(self, features: np.ndarray) -> np.ndarray:
         return np.asarray(features, dtype=np.float64)[:, self.schema.slices["item_topic_flags"]]
@@ -361,10 +359,10 @@ class Cam2Model:
 
     def loss_terms(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
         """(forward outputs, {name: unweighted scalar loss node}) in summation
-        order: task0 ... task{T-1}, then for causal variants conformity_loss,
-        relevance_loss and mixture_loss. The causal targets are derived here
-        alone: causal_labels on the anchor label (column 0), x, config.thresh
-        and the topic flags, blended with the anchor label if joint_mix."""
+        order: task0 ... task{T-1}, then for causal variants CAUSAL_TERMS.
+        The causal targets are derived here alone: each module's field of
+        causal_labels (anchor label, column 0, x, config.thresh) over its
+        topic mask, blended with the anchor label if joint_mix."""
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
         terms = {f"task{t}": tape.bce(p, labels[:, t], L.PROB_CLIP, 1.0 - L.PROB_CLIP)
@@ -372,16 +370,15 @@ class Cam2Model:
         if self.spec.causal:
             anchor, flags = labels[:, 0], self.topic_flags(features)
             causal = causal_labels(anchor, x, self.config.thresh, flags)
-            c_bar, r_bar = causal.conformity, causal.per_interest
-            if self.spec.joint_mix:
-                lam = self.config.joint_label_mix
-                c_bar = (1 - lam) * c_bar + lam * anchor
-                r_bar = (1 - lam) * r_bar + lam * anchor[:, None] * flags
-            terms.update(zip(CAUSAL_TERMS, (
-                self._residual_loss(tape, outs.conformity, c_bar[:, None]),
-                self._residual_loss(tape, outs.relevance, r_bar),
-                tape.bce(self._mixture(tape, outs, flags), anchor,
-                         L.PROB_CLIP, 1.0 - L.PROB_CLIP))))
+            lam = self.config.joint_label_mix
+            for name in CAUSAL:
+                mask = self._topic_masks[name](flags)
+                target = getattr(causal, name)[:, None] * mask
+                if self.spec.joint_mix:
+                    target = (1 - lam) * target + lam * anchor[:, None] * mask
+                terms[f"{name}_loss"] = self._residual_loss(tape, outs.preds[name], target)
+            terms["mixture_loss"] = tape.bce(self._mixture(tape, outs, flags), anchor,
+                                             L.PROB_CLIP, 1.0 - L.PROB_CLIP)
         return outs, terms
 
     def training_objective(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
@@ -390,7 +387,7 @@ class Cam2Model:
         term included, each weighted by its config weight."""
         cfg = self.config
         outs, terms = self.loss_terms(tape, features, labels, x)
-        weights = (*cfg.task_weights, cfg.conformity_weight, cfg.relevance_weight,
+        weights = (*cfg.task_weights, *(getattr(cfg, f"{name}_weight") for name in CAUSAL),
                    cfg.mixture_weight)  # zip stops at the task terms for Baseline
         pieces = [n if w == 1.0 else tape.scale(n, w)  # x * 1.0 is x, bit for bit
                   for n, w in zip(terms.values(), weights) if w]
@@ -430,10 +427,11 @@ class Cam2Model:
             np.column_stack([p.data for p in outs.task_probs]),))[0]
 
     def causal_embeddings(self, features: np.ndarray):
-        """([n, d_e] e_conf, [n, d_e] e_rel), computed INFER_CHUNK rows at a time."""
+        """One [n, d_e] array per CAUSAL module, in order, INFER_CHUNK rows at a time."""
         if not self.spec.causal:
             raise VariantError(f"{self.config.variant} has no causal embeddings")
-        return self._infer(features, None, lambda outs: (outs.e_conf.data, outs.e_rel.data))
+        return self._infer(features, None,
+                           lambda outs: tuple(e.data for e in outs.embeddings.values()))
 
 
 def gradient_provenance(model: Cam2Model, features, labels, x) -> dict:
@@ -466,17 +464,19 @@ def gradient_provenance(model: Cam2Model, features, labels, x) -> dict:
 def check_decoupling(model: Cam2Model, features, labels, x):
     """Abort-worthy audit of the variant's gradient-flow contract: with a
     stop-gradient no task gradient reaches the causal modules, without one
-    some does, and the two causal losses never cross modules."""
+    some does, and no module's causal loss reaches another module."""
     prov = gradient_provenance(model, features, labels, x)
     if not model.spec.causal:
         return prov
     if model.spec.stop_grad:
-        for g in ("conformity", "relevance"):
+        for g in CAUSAL:
             if prov["task"][g] != 0.0:
                 raise AssertionError(f"task losses leaked gradient into {g} module")
-    elif prov["task"]["conformity"] <= 1e-12 and prov["task"]["relevance"] <= 1e-12:
+    elif all(prov["task"][g] <= 1e-12 for g in CAUSAL):
         raise AssertionError(
             f"{model.config.variant} expects task gradients in causal modules")
-    if prov["conformity_loss"]["relevance"] != 0.0 or prov["relevance_loss"]["conformity"] != 0.0:
-        raise AssertionError("causal losses leaked across modules")
+    for name in CAUSAL:
+        for g in CAUSAL:
+            if g != name and prov[f"{name}_loss"][g] != 0.0:
+                raise AssertionError(f"{name}_loss leaked gradient into {g} module")
     return prov

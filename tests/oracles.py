@@ -177,8 +177,7 @@ def counterfactual_replay(models, world, history, schema, eval_cfg, day, seed=0)
                                  cand.reshape(-1), schema)
     out = {}
     for name, model in models.items():
-        scores = E.final_score(model.predict(features),
-                               eval_cfg.combine_weights).reshape(len(users), n_cand)
+        scores = E.final_score(model.predict(features)).reshape(len(users), n_cand)
         item_eng = np.zeros(world.n_items)
         item_exp = np.zeros(world.n_items)
         k = min(eval_cfg.replay_k, n_cand)
@@ -188,7 +187,6 @@ def counterfactual_replay(models, world, history, schema, eval_cfg, day, seed=0)
                     for t in range(world.cfg.n_tasks))
             np.add.at(item_eng, shown, p)
             np.add.at(item_exp, shown, 1.0)
-        cov = E.tail_coverage(item_eng, eval_cfg.tail_quantiles,
-                              popularity=world.popularity, item_exposures=item_exp)
+        cov = E.tail_coverage(item_eng, popularity=world.popularity, item_exposures=item_exp)
         out[name] = {"item_engagements": item_eng, "item_exposures": item_exp, **cov}
     return out

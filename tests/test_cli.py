@@ -608,6 +608,27 @@ class TestReport:
         assert ne["Baseline"]["delta_vs_baseline"] == "+0.000%"
         assert ne["Proposed"]["delta_vs_baseline"] == "-50.000%"
 
+    @pytest.mark.parametrize("defect", ["other_dataset", "unknown_variant"])
+    def test_metrics_files_report_cannot_render_refused(self, trained_run, tmp_path, capsys,
+                                                        defect):
+        """A second metrics file from another dataset, or of a variant report
+        does not know, exits 2 naming the files instead of being rendered as
+        the first file's dataset or left out of the NE table."""
+        metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
+        other = ({**metrics, "dataset_config_hash": "0123456789abcdef"}
+                 if defect == "other_dataset" else {**metrics, "variant": "Mystery"})
+        first, second = tmp_path / "metrics_Proposed_3.json", tmp_path / "metrics_Zeta_3.json"
+        first.write_text(json.dumps(metrics))
+        second.write_text(json.dumps(other))
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        if defect == "other_dataset":
+            assert str(first) in err and "different datasets" in err
+        else:
+            assert "unknown variant 'Mystery'" in err
+        assert str(second) in err
+        assert not list(tmp_path.glob("report.*"))
+
     def test_empty_metrics_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
         assert "no metrics" in capsys.readouterr().err

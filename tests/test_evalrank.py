@@ -13,26 +13,10 @@ from confrank.schema import default_schema
 
 class TestFinalScore:
     def test_single_task(self):
-        assert E.final_score([[0.7]], (1.0,))[0] == pytest.approx(0.7)
-
-    def test_equal_probs_scale(self):
-        got = E.final_score([[0.4, 0.4, 0.4]], (1.0, 2.0, 3.0))[0]
-        assert got == pytest.approx(0.4 * 6.0)
-
-    def test_argmax_invariant_under_scaling(self):
-        rng = np.random.default_rng(0)
-        probs = rng.random((20, 3))
-        a = E.final_score(probs, (1.0, 2.0, 0.5))
-        b = E.final_score(probs, (3.0, 6.0, 1.5))
-        assert np.argmax(a) == np.argmax(b)
-
-    def test_weight_arity(self):
-        with pytest.raises(E.EvalError, match="weights"):
-            E.final_score([[0.5, 0.5]], (1.0,))
-
-    def test_all_zero_weights(self):
-        with pytest.raises(E.EvalError):
-            E.final_score([[0.5]], (0.0,))
+        """One task's score is its probability; more tasks score their row sum."""
+        probs = np.array([[0.7, 0.1, 0.25], [0.2, 0.4, 0.4]])
+        assert E.final_score(probs).tobytes() == (probs @ np.ones(3)).tobytes()
+        assert E.final_score([[0.7]])[0] == 0.7
 
 
 class TestRankTopk:

@@ -13,7 +13,8 @@ from confrank import trainer as T
 from confrank.autodiff import Tape
 from confrank.config import VARIANTS, ModelConfig, TrainConfig
 from confrank.labels import causal_labels
-from confrank.model import (INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
+from confrank import model as M
+from confrank.model import (CAUSAL, INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
                             _column_index, _gather, check_decoupling, gradient_provenance)
 from confrank.schema import (ATTRIBUTE, DENSE, SIDES, STATISTICAL, FeatureSpec,
                              validate_schema)
@@ -195,8 +196,8 @@ class TestForward:
             model = build(schema, variant=variant)
             outs = model.forward(Tape(), features)
             e_conf, e_rel = model.causal_embeddings(features)
-            assert e_conf.tobytes() == outs.e_conf.data.tobytes(), variant
-            assert e_rel.tobytes() == outs.e_rel.data.tobytes(), variant
+            assert e_conf.tobytes() == outs.embeddings["conformity"].data.tobytes(), variant
+            assert e_rel.tobytes() == outs.embeddings["relevance"].data.tobytes(), variant
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_strided_features_score_as_their_contiguous_copy(self, tiny_dataset, variant):
@@ -266,8 +267,8 @@ class TestChunkedInference:
             close(preds, np.column_stack([p.data for p in outs.task_probs]))
             if model.spec.causal:
                 e_conf, e_rel = model.causal_embeddings(features)
-                close(e_conf, outs.e_conf.data)
-                close(e_rel, outs.e_rel.data)
+                close(e_conf, outs.embeddings["conformity"].data)
+                close(e_rel, outs.embeddings["relevance"].data)
 
     def test_peak_memory_does_not_grow_with_rows(self, tiny_dataset):
         _, _, schema, logs, _ = tiny_dataset
@@ -343,7 +344,7 @@ class TestGradientProvenance:
             model.zero_grads()
             tape = Tape()
             outs = model.forward(tape, features)
-            tape.backward(model._residual_loss(tape, getattr(outs, pred), target))
+            tape.backward(model._residual_loss(tape, outs.preds[pred], target))
             return {g: max(float(np.abs(p.grad).max()) for p in ps)
                     for g, ps in model.groups().items()}
 
@@ -357,6 +358,70 @@ class TestGradientProvenance:
         for variant in ("Baseline", "Proposed", "TaskArch", "JointLoss", "AllFeats"):
             model = build(schema, variant=variant)
             check_decoupling(model, features, labels, x)
+
+    @pytest.mark.parametrize("name", CAUSAL)
+    def test_check_decoupling_refuses_each_leak(self, batch, monkeypatch, name):
+        """Each leak the audit guards against, reported for one module at a
+        time, raises; the audit reads the report gradient_provenance gives."""
+        schema, features, labels, x = batch
+        others = [g for g in CAUSAL if g != name]
+
+        def audit(variant, comp, groups, value):
+            """check_decoupling of a model whose report reads value for
+            comp in groups."""
+            model = build(schema, variant=variant)
+            prov = gradient_provenance(model, features, labels, x)
+            prov[comp].update(dict.fromkeys(groups, value))
+            monkeypatch.setattr(M, "gradient_provenance", lambda *args: prov)
+            return lambda: check_decoupling(model, features, labels, x)
+
+        cases = [(("Proposed", "task", [name], 1e-3),
+                  f"task losses leaked gradient into {name} module"),
+                 (("JointLoss", "task", CAUSAL, 0.0), "expects task gradients"),
+                 *((("Proposed", f"{name}_loss", [g], 1e-3),
+                    f"{name}_loss leaked gradient into {g} module") for g in others)]
+        for args, message in cases:
+            with pytest.raises(AssertionError, match=message):
+                audit(*args)()
+        # JointLoss passes while any one module receives task gradient
+        audit("JointLoss", "task", others, 0.0)()
+
+    @pytest.mark.parametrize("variant", ["Proposed", "TaskArch", "JointLoss", "AllFeats"])
+    def test_modules_are_only_called_through_their_attributes(self, batch, variant):
+        """Every forward calls each causal module once, through the model
+        attribute named after it, and reads nothing else off it: plain
+        counting functions in their place give the same bytes."""
+        schema, features, labels, x = batch
+        plain, wrapped = build(schema, variant=variant), build(schema, variant=variant)
+        calls = dict.fromkeys(["forward", *CAUSAL], 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("forward", *CAUSAL):
+            setattr(wrapped, name, counting(name, getattr(wrapped, name)))
+
+        def step(model):
+            model.zero_grads()
+            tape = Tape()
+            objective, _, _ = model.training_objective(tape, features, labels, x)
+            tape.backward(objective)
+            return objective.data.tobytes(), [p.grad.tobytes() for p in model.parameters()]
+
+        runs = [
+            lambda m: m.predict(features).tobytes(),
+            step,
+            lambda m: [e.tobytes() for e in m.causal_embeddings(features)],
+            lambda m: check_decoupling(m, features, labels, x),
+        ]
+        for run in runs:
+            before = calls["forward"]
+            assert run(wrapped) == run(plain)
+            assert calls["forward"] > before
+            assert all(calls[name] == calls["forward"] for name in CAUSAL), calls
 
 
 class _ConstantsTape(Tape):
@@ -423,8 +488,8 @@ class TestTrainingObjective:
         _, outs, terms = model.training_objective(tape, features, labels, x)
         (u, i), (u_x, i_x) = (raw_heads(model, m, features)
                               for m in (model.conformity, model.relevance))
-        assert outs.conformity.data.tobytes() == np.abs(u + i).tobytes()
-        assert outs.relevance.data.tobytes() == (u_x * i_x).tobytes()
+        assert outs.preds["conformity"].data.tobytes() == np.abs(u + i).tobytes()
+        assert outs.preds["relevance"].data.tobytes() == (u_x * i_x).tobytes()
         assert float(terms["conformity_loss"].data) == pytest.approx(
             conformity_loss(causal.conformity, u[:, 0], i[:, 0]), abs=1e-12)
         assert float(terms["relevance_loss"].data) == pytest.approx(
