@@ -43,7 +43,10 @@ def _load_config(path) -> C.RunConfig:
 def _prepare_out_dir(out_dir, force: bool):
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise CliError(f"output dir {out_dir} is not empty (use --force)", EXIT_VALIDATION)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:  # e.g. the path, or a parent of it, is a file
+        raise CliError(f"cannot make output dir {out_dir}: {e.strerror}", EXIT_VALIDATION)
 
 
 def _dataset_days(dataset_dir) -> tuple:
@@ -86,8 +89,6 @@ def cmd_gen_data(args) -> int:
     data_cfg = cfg.data
     if args.seed is not None:
         data_cfg = dataclasses.replace(data_cfg, seed=args.seed)
-    if args.days is not None:
-        data_cfg = dataclasses.replace(data_cfg, n_days=args.days)
     _prepare_out_dir(args.out, args.force)
 
     world = generate_world(data_cfg)
@@ -148,10 +149,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     model_cfg = cfg.model
     if args.variant:
-        try:
-            model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
-        except C.ConfigError as e:
-            raise CliError(str(e), EXIT_USAGE)
+        model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
     manifest, schema, days = _dataset_days(args.dataset)
@@ -207,6 +205,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     seeds = E.check_seeds(cfg.seeds if args.seeds is None else args.seeds)  # a ValueError exits 2
+    E.check_variants(args.variants)
     _, schema, days = _dataset_days(args.dataset)
     world = _dataset_world(args.dataset)
     _check_task_count(cfg.model, days)
@@ -227,16 +226,10 @@ def cmd_ablate(args) -> int:
 def cmd_rank(args) -> int:
     if args.k < 1:
         raise CliError(f"k must be >= 1, got {args.k}", EXIT_USAGE)
-    try:
-        state = T.load_checkpoint(args.checkpoint)
-    except S.CheckpointError as e:
-        raise CliError(str(e), EXIT_VALIDATION)
+    state = T.load_checkpoint(args.checkpoint)
     item_ids, features, schema_hash = _read_candidates(args.candidates)
-    try:
-        state.model.schema.check_rows(features)
-        ranked = E.rank_topk(state.model, features, item_ids, args.k, schema_hash=schema_hash)
-    except Exception as e:
-        raise CliError(f"ranking failed: {e}", EXIT_VALIDATION)
+    state.model.schema.check_rows(features)
+    ranked = E.rank_topk(state.model, features, item_ids, args.k, schema_hash=schema_hash)
     for item, score in zip(ranked.item_ids, ranked.scores):
         print(f"{item}\t{score:.6f}")
     return EXIT_OK
@@ -395,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", default=None)
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--days", type=int, default=None)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen_data)
 
@@ -403,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None)
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--variant", default=None,
-                   help=f"one of {', '.join(C.VARIANTS)}")
+    t.add_argument("--variant", default=None, choices=list(C.VARIANTS))
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--resume", default=None,
                    help="checkpoint to warm-start from (its variant and seed; "
@@ -445,7 +436,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (C.ConfigError, ValueError) as e:
+    except ValueError as e:  # C.ConfigError, S.CheckpointError, SchemaError, ...
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:

@@ -149,16 +149,13 @@ class RunConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
 
 
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
-def to_dict(cfg) -> dict:
-    return _to_jsonable(cfg)
+def to_dict(cfg):
+    """cfg in plain JSON types: each dataclass a dict, each tuple a list."""
+    if dataclasses.is_dataclass(cfg):
+        return {f.name: to_dict(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, (list, tuple)):
+        return [to_dict(v) for v in cfg]
+    return cfg
 
 
 # the JSON types a field accepts, by the type of its default

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DataConfig
-from .schema import Schema, default_schema
+from .schema import Schema
 
 
 class DataGenError(ValueError):
@@ -295,10 +295,9 @@ def derive_features(world: World, history: History, users, items,
     return out
 
 
-def simulate_days(world: World, schema: Schema | None = None):
+def simulate_days(world: World, schema: Schema):
     """Yield one DayLog per simulated day, folding histories as we go."""
     cfg = world.cfg
-    schema = schema or default_schema(cfg.k_topics, cfg.n_age_buckets, cfg.n_content_types)
     rng = np.random.default_rng(cfg.seed + 1)
     history = History.empty(world.n_users, world.n_items)
 

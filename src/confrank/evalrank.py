@@ -215,15 +215,25 @@ def aggregate_ne(rows) -> float:
     return float(np.mean([r.ne_aggregated for r in rows]))
 
 
+def _check_unrepeated(kind: str, values: list) -> list:
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise EvalError(f"{kind} {repeated} is repeated in the paired comparison")
+    return values
+
+
 def check_seeds(seeds) -> list:
     """The seeds of a paired comparison as a list: at least 5, none repeated."""
     seeds = list(seeds)
     if len(seeds) < 5:
         raise EvalError(f"need at least 5 seeds for the paired comparison, got {len(seeds)}")
-    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-    if repeated is not None:
-        raise EvalError(f"seed {repeated} is repeated in the paired comparison")
-    return seeds
+    return _check_unrepeated("seed", seeds)
+
+
+def check_variants(variants) -> list:
+    """The variants of a comparison as a list, all of VARIANTS if none are
+    given; none repeated."""
+    return _check_unrepeated("variant", list(variants) if variants else list(VARIANTS))
 
 
 def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig,
@@ -238,7 +248,7 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
     caught: its error ends the sweep, as does a run with a non-finite NE
     (trainer.NonFiniteMetricError).
     """
-    variants = list(variants) if variants else list(VARIANTS)
+    variants = check_variants(variants)
     seeds = check_seeds(seeds)
     if "Baseline" not in variants:
         variants = ["Baseline"] + variants
@@ -301,9 +311,8 @@ def render_ablation_table(result: dict) -> str:
         delta = f"{row['median_delta_pct']:+.3f}%"  # Baseline's is exactly +0.000%
         ref = (f"{row['reference_delta_pct']:+.3f}%"
                if row["reference_delta_pct"] is not None else "--")
-        st = row["sign_test"]
-        lines.append(f"{variant:<12} {med:>10} {delta:>13} "
-                     f"{st['negative']}/{st['n']:>10} {ref:>31}")
+        sign = f"{row['sign_test']['negative']}/{row['sign_test']['n']}"
+        lines.append(f"{variant:<12} {med:>10} {delta:>13} {sign:>12} {ref:>31}")
     return "\n".join(lines)
 
 

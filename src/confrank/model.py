@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses as L
-from .autodiff import Adam, Node, Parameter, Tape, clamp, glorot_uniform
+from .autodiff import Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
 from .schema import SIDES, Schema
@@ -284,9 +284,6 @@ class Cam2Model:
         for p in self.parameters():
             p.zero_grad()
 
-    def make_optimizer(self, lr=1e-3, betas=(0.9, 0.999), eps=1e-8) -> Adam:
-        return Adam(self.parameters(), lr=lr, betas=betas, eps=eps)
-
     # -- forward --------------------------------------------------------
 
     def check_schema(self, schema_hash: str):
@@ -369,7 +366,7 @@ class Cam2Model:
                  for t, p in enumerate(outs.task_probs)}
         if self.spec.causal:
             anchor, flags = labels[:, 0], self.topic_flags(features)
-            causal = causal_labels(anchor, x, self.config.thresh, flags)
+            causal = causal_labels(anchor, x, self.config.thresh)
             lam = self.config.joint_label_mix
             for name in CAUSAL:
                 mask = self._topic_masks[name](flags)

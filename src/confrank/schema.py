@@ -34,6 +34,10 @@ class FeatureSpec:
     vocab_size: int = 0  # categoricals only
 
     def validate(self):
+        for key in ("width", "vocab_size"):
+            if type(getattr(self, key)) is not int:
+                raise SchemaError(f"{self.name} {key} must be an integer, "
+                                  f"got {getattr(self, key)!r}")
         if self.encoding not in (DENSE, CATEGORICAL):
             raise SchemaError(f"unknown encoding {self.encoding!r} for {self.name}")
         if self.bucket not in (STATISTICAL, ATTRIBUTE):

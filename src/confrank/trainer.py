@@ -16,7 +16,7 @@ import numpy as np
 from . import config as C
 from . import losses as L
 from . import serialize as S
-from .autodiff import Tape
+from .autodiff import Adam, Tape
 from .model import Cam2Model, check_decoupling
 from .schema import FeatureSpec, Schema, validate_schema
 
@@ -53,7 +53,8 @@ class TrainState:
     def __init__(self, model: Cam2Model, train_cfg: C.TrainConfig):
         self.model = model
         self.train_cfg = train_cfg
-        self.optimizer = model.make_optimizer(train_cfg.lr, train_cfg.betas, train_cfg.eps)
+        self.optimizer = Adam(model.parameters(), lr=train_cfg.lr, betas=train_cfg.betas,
+                              eps=train_cfg.eps)
         self.last_day = -1
         self.config_hash = state_config_hash(model.config, train_cfg)
 
@@ -161,6 +162,10 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
         raise S.CheckpointError(
             f"checkpoint was trained under config {payload['config_hash']}, "
             f"not {expect_config_hash}")
+    last_day = payload["last_day"]
+    if type(last_day) is not int or last_day < -1:
+        raise S.CheckpointError(f"checkpoint 'last_day' must be an integer >= -1, "
+                                f"got {last_day!r}")
     schema = validate_schema([FeatureSpec(*s) for s in payload["schema"]])
     model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
     train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
@@ -180,7 +185,7 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
         p.value = arr
     state = TrainState(model, train_cfg)
     state.optimizer.load_state_dict(payload["adam"])
-    state.last_day = payload["last_day"]
+    state.last_day = last_day
     return state
 
 

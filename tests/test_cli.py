@@ -296,6 +296,25 @@ def test_malformed_run_refused_before_out(cli_env, tmp_path, capsys, command, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+@pytest.mark.parametrize("where", ["out", "parent"])
+def test_out_that_is_not_a_directory_refused(cli_env, tmp_path, capsys, command, where):
+    """An --out that is a file, or lies under one, exits 2 naming it before
+    anything is written."""
+    _, cfg_path, data_dir = cli_env
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    out = blocker if where == "out" else blocker / "out"
+    argv = [command, "--config", cfg_path, "--out", str(out)]
+    if command != "gen-data":
+        argv += ["--dataset", data_dir]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "runtime error" not in err
+    assert os.listdir(tmp_path) == ["file"]
+    assert blocker.read_text() == "not a directory"
+
+
 def test_resume_refuses_dataset_with_other_task_count(cli_env, trained_run, tmp_path,
                                                       capsys):
     """Under --resume the checkpoint's model fixes the task count."""
@@ -392,6 +411,16 @@ class TestAblate:
                          "--out", str(out), "--variants", "Proposed", *argv]) == 2
         repeated = 0 if source == "flag" else 1
         assert f"seed {repeated} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_variant_refused(self, cli_env, tmp_path, capsys):
+        """A variant named twice would train twice per seed and print two
+        rows: refused before --out is made."""
+        _, cfg_path, data_dir = cli_env
+        out = tmp_path / "o"
+        assert cli.main(["ablate", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(out), "--variants", "Proposed", "Proposed"]) == 2
+        assert "variant Proposed is repeated" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -514,7 +543,17 @@ class TestRank:
 
     def test_missing_checkpoint(self, cli_env, candidates, capsys):
         assert cli.main(["rank", "--checkpoint", "/nonexistent.json",
-                         "--candidates", candidates]) in (2, 3)
+                         "--candidates", candidates]) == 2
+
+    def test_fault_while_ranking_is_a_runtime_failure(self, ckpt, candidates, monkeypatch,
+                                                     capsys):
+        """A program fault inside rank exits 3, as in every other command."""
+        def boom(*args, **kwargs):
+            raise RuntimeError("scoring broke")
+
+        monkeypatch.setattr(E, "rank_topk", boom)
+        assert cli.main(["rank", "--checkpoint", ckpt, "--candidates", candidates]) == 3
+        assert "runtime error: scoring broke" in capsys.readouterr().err
 
 
 class TestReport:
@@ -721,6 +760,37 @@ def test_checkpoint_arrays_must_match_the_model(cli_env, trained_run, tmp_path, 
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"'{name}'" in err and "runtime error" not in err
+    assert not out.exists()
+
+
+def _set_first_schema_width(payload):
+    payload["schema"][0][3] = "1"
+
+
+@pytest.mark.parametrize("command", ["rank", "train"])
+@pytest.mark.parametrize("case", ["string_last_day", "last_day_below_minus_one",
+                                  "string_schema_width"])
+def test_checkpoint_field_types_are_checked(cli_env, trained_run, tmp_path, capsys,
+                                            command, case):
+    """A checksum-valid checkpoint whose last_day is not an integer >= -1,
+    or whose schema gives a width that is not an integer, exits 2 naming the
+    key, not 3 from a comparison of mixed types."""
+    _, _, data_dir = cli_env
+    ckpt = trained_run[0] / "checkpoint_Proposed_3.json"
+    edit, key = {
+        "string_last_day": (lambda payload: payload.update(last_day="2"), "'last_day'"),
+        "last_day_below_minus_one": (lambda payload: payload.update(last_day=-2), "'last_day'"),
+        "string_schema_width": (_set_first_schema_width, "width must be an integer"),
+    }[case]
+    bad = tmp_path / "ckpt.json"
+    rewrite_payload(ckpt, bad, edit)
+    out = tmp_path / "o"
+    argv = (["rank", "--checkpoint", str(bad), "--candidates", str(tmp_path / "c.tsv")]
+            if command == "rank" else
+            ["train", "--dataset", data_dir, "--out", str(out), "--resume", str(bad)])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "runtime error" not in err
     assert not out.exists()
 
 

@@ -159,14 +159,14 @@ class TestSimulateDays:
     def test_zero_activity_gives_empty_logs(self):
         cfg, world = small_world(mean_activity=0.0)
         world.activity[:] = 0.0
-        for log in D.simulate_days(world):
+        for log in D.simulate_days(world, default_schema(cfg.k_topics)):
             assert log.n_events == 0
 
     def test_zero_tilt_exposure_is_uniform(self):
         cfg, world = small_world(n_users=1, n_items=200, exposure_tilt=0.0,
                                  new_items_per_day=1, n_days=2)
         world.activity[:] = 100_000.0
-        log = next(iter(D.simulate_days(world)))
+        log = next(iter(D.simulate_days(world, default_schema(cfg.k_topics))))
         live = np.flatnonzero(world.birth_day <= 0)
         counts = np.bincount(log.item_ids, minlength=world.n_items)[live]
         _, p_value = stats.chisquare(counts)

@@ -230,6 +230,12 @@ class TestAblationRun:
             E.ablation_run(tiny_model_config(), TrainConfig(), SMALL_EVAL, world,
                            days[:2], schema, seeds=[0, 1])
 
+    def test_repeated_variant_rejected(self, tiny_dataset):
+        _, world, schema, _, days = tiny_dataset
+        with pytest.raises(E.EvalError, match="variant Proposed is repeated"):
+            E.ablation_run(tiny_model_config(), TrainConfig(), SMALL_EVAL, world,
+                           days[:2], schema, seeds=range(5), variants=["Proposed", "Proposed"])
+
     def test_render_contains_all_variants_and_reference(self, tiny_dataset):
         _, world, schema, _, days = tiny_dataset
         result = E.ablation_run(tiny_model_config(), TrainConfig(batch_size=64),
@@ -239,3 +245,9 @@ class TestAblationRun:
         assert "Baseline" in text and "Proposed" in text
         assert "not a target" in text
         assert "-0.139" in text
+        # each "neg/n" cell is right-aligned under its header
+        lines = text.splitlines()
+        end = lines[0].index("sign(neg/n)") + len("sign(neg/n)")
+        for line, variant in zip(lines[2:], result["variants"]):
+            st = result["table"][variant]["sign_test"]
+            assert line[:end].endswith(f" {st['negative']}/{st['n']}"), line

@@ -11,35 +11,25 @@ from confrank.labels import causal_labels
 
 class TestCausalLabels:
     def test_engaged_above_threshold_is_conformity(self):
-        out = causal_labels([1], [0.9], 0.5, [[1, 0, 0]])
+        out = causal_labels([1], [0.9], 0.5)
         assert out.conformity[0] == 1 and out.relevance[0] == 0
 
     def test_not_engaged_all_zero(self):
         for x in (0.0, 0.4, 0.9, 1.0):
-            out = causal_labels([0], [x], 0.5, [[1, 1, 0]])
+            out = causal_labels([0], [x], 0.5)
             assert out.conformity[0] == 0 and out.relevance[0] == 0
-            assert not out.per_interest[0].any()
-
-    def test_relevance_masked_by_topics(self):
-        out = causal_labels([1], [0.2], 0.5, [[1, 0, 1]])
-        assert out.relevance[0] == 1
-        assert np.array_equal(out.per_interest[0], [1, 0, 1])
 
     def test_x_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            causal_labels([1], [1.2], 0.5, [[1]])
+            causal_labels([1], [1.2], 0.5)
 
-    @given(st.integers(0, 1), st.floats(0, 1), st.floats(0, 1),
-           st.lists(st.integers(0, 1), min_size=1, max_size=5))
-    def test_exactly_one_rule(self, engaged, x, thresh, flags):
-        out = causal_labels([engaged], [x], thresh, [flags])
+    @given(st.integers(0, 1), st.floats(0, 1), st.floats(0, 1))
+    def test_exactly_one_rule(self, engaged, x, thresh):
+        out = causal_labels([engaged], [x], thresh)
         if engaged:
             assert out.conformity[0] + out.relevance[0] == 1
         else:
             assert out.conformity[0] == 0 and out.relevance[0] == 0
-        # support of per-interest targets is the item's topic set
-        off = np.asarray(flags) == 0
-        assert not out.per_interest[0][off].any()
 
 
 class TestMixtureWeights:

@@ -10,7 +10,7 @@ from oracles import (conformity_loss, mixture_decomposition, mixture_weights, re
 from confrank import losses as L
 from confrank import serialize as S
 from confrank import trainer as T
-from confrank.autodiff import Tape
+from confrank.autodiff import Adam, Tape
 from confrank.config import VARIANTS, ModelConfig, TrainConfig
 from confrank.labels import causal_labels
 from confrank import model as M
@@ -32,9 +32,8 @@ def build(schema, **over):
     return Cam2Model(tiny_model_config(**over), schema)
 
 
-def targets(model, features, labels, x):
-    return causal_labels(labels[:, 0], x, model.config.thresh,
-                         model.topic_flags(features))
+def targets(model, labels, x):
+    return causal_labels(labels[:, 0], x, model.config.thresh)
 
 
 def raw_heads(model, module, features):
@@ -87,7 +86,7 @@ class TestBuild:
     def test_parameters_are_views_of_the_optimizer_buffers(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
-        opt = model.make_optimizer()
+        opt = Adam(model.parameters())
         params = model.parameters()
         flat = np.concatenate([p.value.ravel() for p in params])
         assert flat.tobytes() == opt._value.tobytes()  # laid out in params order
@@ -330,14 +329,15 @@ class TestGradientProvenance:
         # gradients depend on the targets and not only on residual signs)
         schema, features, labels, x = batch
         model = build(schema, variant="JointLoss", squared_causal_loss=True)
-        causal = targets(model, features, labels, x)
+        causal = targets(model, labels, x)
         lam, anchor = model.config.joint_label_mix, labels[:, 0]
         flags = model.topic_flags(features)
+        relevance = causal.relevance[:, None] * flags
         cases = {
             "conformity_loss": ("conformity", causal.conformity[:, None],
                                 ((1 - lam) * causal.conformity + lam * anchor)[:, None]),
-            "relevance_loss": ("relevance", causal.per_interest,
-                               (1 - lam) * causal.per_interest + lam * anchor[:, None] * flags),
+            "relevance_loss": ("relevance", relevance,
+                               (1 - lam) * relevance + lam * anchor[:, None] * flags),
         }
 
         def group_grads(pred, target):
@@ -483,7 +483,7 @@ class TestTrainingObjective:
     def test_graph_losses_match_reference_formulas(self, batch):
         schema, features, labels, x = batch
         model = build(schema, variant="Proposed")
-        causal = targets(model, features, labels, x)
+        causal = targets(model, labels, x)
         tape = Tape()
         _, outs, terms = model.training_objective(tape, features, labels, x)
         (u, i), (u_x, i_x) = (raw_heads(model, m, features)
@@ -493,7 +493,8 @@ class TestTrainingObjective:
         assert float(terms["conformity_loss"].data) == pytest.approx(
             conformity_loss(causal.conformity, u[:, 0], i[:, 0]), abs=1e-12)
         assert float(terms["relevance_loss"].data) == pytest.approx(
-            relevance_loss(causal.per_interest, u_x, i_x), abs=1e-12)
+            relevance_loss(causal.relevance[:, None] * model.topic_flags(features), u_x, i_x),
+            abs=1e-12)
         for t in range(labels.shape[1]):
             assert float(terms[f"task{t}"].data) == pytest.approx(
                 L.bce(outs.task_probs[t].data, labels[:, t]), abs=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,12 @@ class TestValidateSchema:
         with pytest.raises(S.SchemaError, match="vocab"):
             S.validate_schema([S.FeatureSpec("c", S.CATEGORICAL, S.ATTRIBUTE,
                                              vocab_size=1)])
+
+    @pytest.mark.parametrize("field", ["width", "vocab_size"])
+    def test_non_integer_size_rejected(self, field):
+        spec = S.FeatureSpec("c", S.CATEGORICAL, S.ATTRIBUTE, vocab_size=3)
+        with pytest.raises(S.SchemaError, match=f"{field} must be an integer"):
+            S.validate_schema([dataclasses.replace(spec, **{field: "3"})])
 
     def test_hash_changes_with_any_field(self):
         base = S.validate_schema([S.FeatureSpec("a", S.DENSE, S.STATISTICAL)])
