@@ -119,9 +119,6 @@ class Parameter:
     def shape(self):
         return self._value.shape
 
-    def zero_grad(self):
-        self._grad.fill(0.0)
-
     def _rehome(self, value: np.ndarray, grad: np.ndarray):
         """Move value and grad into the given flat slices of an owner's buffers."""
         value[:] = self._value.ravel()
@@ -468,6 +465,18 @@ class Tape:
                 back(out.grad)
 
 
+def check_names(what: str, entries, names):
+    """Refuse `entries` unless it is a mapping keyed by exactly the parameter
+    names `names`: ValueError names `what` and the first name missing or unknown."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"{what} is not a mapping but {type(entries).__name__}")
+    missing = [n for n in names if n not in entries]
+    unknown = [n for n in entries if n not in names]
+    if missing or unknown:
+        raise ValueError(f"{what} has no entry for parameter {missing[0]!r}" if missing else
+                         f"{what} has an entry for unknown parameter {unknown[0]!r}")
+
+
 class Adam:
     """Adam with bias correction; state is serializable for warm starts.
 
@@ -526,12 +535,7 @@ class Adam:
         count "t" >= 0 and moments "m" and "v" of the parameter's shape;
         otherwise ValueError names the first parameter and key at fault.
         Nothing is loaded unless all of it is valid."""
-        for name in self._moments:
-            if name not in state:
-                raise ValueError(f"optimizer state has no entry for parameter {name!r}")
-        for name in state:
-            if name not in self._moments:
-                raise ValueError(f"optimizer state has an entry for unknown parameter {name!r}")
+        check_names("optimizer state", state, self._moments)
         for name, st in state.items():
             if not isinstance(st, dict):
                 raise ValueError(f"optimizer state for parameter {name!r} is not a mapping")

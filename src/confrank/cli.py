@@ -116,15 +116,10 @@ def _ecosystem_summary(world, days) -> dict:
     event_days = np.concatenate([np.full(d["user_ids"].shape[0], d["day"]) for d in days])
     items = np.concatenate([d["item_ids"] for d in days])
     users = np.concatenate([d["user_ids"] for d in days])
-    engaged = np.concatenate([d["labels"][:, 0] for d in days])
+    engaged = np.concatenate([d["labels"][:, 0] for d in days]).astype(np.float64)
 
     age = E.engagement_by_item_age(event_days, world.birth_day[items], engaged)
-    item_eng = np.zeros(world.n_items)
-    item_exp = np.zeros(world.n_items)
-    np.add.at(item_eng, items, engaged.astype(np.float64))
-    np.add.at(item_exp, items, 1.0)
-    tail = E.tail_coverage(item_eng, popularity=world.popularity,
-                           item_exposures=item_exp)
+    tail = E.item_tail_coverage(world, items, engaged)
 
     n_days = world.cfg.n_days
     active = np.zeros((world.n_users, n_days), dtype=bool)
@@ -132,13 +127,13 @@ def _ecosystem_summary(world, days) -> dict:
     window = min(28, n_days - 1)
     final = event_days == n_days - 1
     post = np.zeros(world.n_users)
-    np.add.at(post, users[final], engaged[final].astype(np.float64))
+    np.add.at(post, users[final], engaged[final])
     cohort = E.cohort_metrics(active[:, : n_days - 1], post, window=window)
     cohort.pop("casual_mask")
     cohort["window_days"] = window
 
     return {"age_table": age, "tail": {"counts": tail["counts"],
-                                       "bottom80_exposure_share": tail.get("bottom80_exposure_share")},
+                                       "bottom80_exposure_share": tail["bottom80_exposure_share"]},
             "cohort": cohort}
 
 
@@ -272,19 +267,30 @@ def _read_candidates(path):
 # -- report -------------------------------------------------------------
 
 
-# each key path of a metrics file's "ecosystem" that cmd_report renders
+_COHORT_KEYS = ("users", "mean_engagement", "mean_active_days")  # rendered per cohort
+
+# each key path of a metrics file's "ecosystem" that cmd_report renders, with
+# the types of value it renders there (None: any)
 _ECOSYSTEM_KEYS = (
-    *(("age_table", label, "rate") for label in E.AGE_BUCKET_LABELS),
-    ("tail", "counts"),
-    ("cohort", "window_days"),
-    *(("cohort", cohort, key) for cohort in ("casual", "non_casual")
-      for key in ("users", "mean_engagement", "mean_active_days")),
+    *((("age_table", label, "rate"), (int, float, type(None))) for label in E.AGE_BUCKET_LABELS),
+    (("tail", "counts"), (dict,)),
+    (("tail", "bottom80_exposure_share"), (int, float)),
+    (("cohort", "window_days"), None),
+    *((("cohort", cohort, key), None) for cohort in ("casual", "non_casual")
+      for key in _COHORT_KEYS),
 )
 
 
+def _check_type(path, name: str, value, types):
+    """Refuse (exit 2, naming the file and the key) a value whose type is not in types."""
+    if types is not None and type(value) not in types:
+        raise CliError(f"metrics file {path} has {name} of type {type(value).__name__}, not "
+                       f"{' or '.join(t.__name__ for t in types)}", EXIT_VALIDATION)
+
+
 def _read_metrics(path) -> dict:
-    """A `train` metrics file, refused unless it holds the keys report reads
-    and at least one row."""
+    """A `train` metrics file, refused unless it holds the keys report reads,
+    with values of the types it renders, and at least one row."""
     with open(path) as fh:
         try:
             run = json.load(fh)
@@ -301,13 +307,15 @@ def _read_metrics(path) -> dict:
         if not isinstance(row, dict) or "ne_aggregated" not in row:
             raise CliError(f"metrics file {path} row {i} has no 'ne_aggregated' key",
                            EXIT_VALIDATION)
-    for keys in _ECOSYSTEM_KEYS:
+        _check_type(path, f"row {i} 'ne_aggregated'", row["ne_aggregated"], (int, float))
+    for keys, types in _ECOSYSTEM_KEYS:
         node, name = run["ecosystem"], "ecosystem"
         for key in keys:
             name += f"[{key!r}]"
             if not isinstance(node, dict) or key not in node:
                 raise CliError(f"metrics file {path} has no {name} key", EXIT_VALIDATION)
             node = node[key]
+        _check_type(path, name, node, types)
     return run
 
 
@@ -321,7 +329,7 @@ def cmd_report(args) -> int:
     runs = [_read_metrics(path) for path in paths]
     dataset = runs[0]["dataset_config_hash"]
     for path, run in zip(paths, runs):
-        if run["variant"] not in C.VARIANTS:
+        if not isinstance(run["variant"], str) or run["variant"] not in C.VARIANTS:
             raise CliError(f"metrics file {path} has unknown variant {run['variant']!r}; "
                            f"the variants are {', '.join(C.VARIANTS)}", EXIT_VALIDATION)
         if run["dataset_config_hash"] != dataset:
@@ -337,7 +345,8 @@ def cmd_report(args) -> int:
 
     lines = ["== Holdout NE by variant =="]
     lines.append(f"{'variant':<12} {'runs':>5} {'median NE':>10} {'delta vs Baseline':>18}")
-    summary = {"ne": {}, "age_table": None, "tail": None, "cohort": None}
+    eco = runs[0]["ecosystem"]
+    summary = {"ne": {}, **{key: eco[key] for key in ("age_table", "tail", "cohort")}}
     for variant in C.VARIANTS:
         if variant not in by_variant:
             continue
@@ -347,7 +356,6 @@ def cmd_report(args) -> int:
                                   "delta_vs_baseline": delta}
         lines.append(f"{variant:<12} {len(by_variant[variant]):>5} {med:>10.5f} {delta:>18}")
 
-    eco = runs[0]["ecosystem"]
     lines.append("")
     lines.append("== Engagement rate by item age (observed log) ==")
     lines.append(E.render_age_table(eco["age_table"]))
@@ -355,19 +363,14 @@ def cmd_report(args) -> int:
     lines.append("== Long-tail coverage (observed log) ==")
     for q, n in eco["tail"]["counts"].items():
         lines.append(f"items covering {float(q) * 100:.0f}% of engagement: {n}")
-    if eco["tail"].get("bottom80_exposure_share") is not None:
-        lines.append(f"bottom-80%-popularity impression share: "
-                     f"{eco['tail']['bottom80_exposure_share']:.4f}")
+    lines.append(f"bottom-80%-popularity impression share: "
+                 f"{eco['tail']['bottom80_exposure_share']:.4f}")
     lines.append("")
     lines.append(f"== Casual-user cohort (window={eco['cohort']['window_days']}d, "
                  "desk-scale proxy) ==")
     for name in ("casual", "non_casual"):
-        c = eco["cohort"][name]
-        lines.append(f"{name}: users={c['users']} mean_engagement={c['mean_engagement']}"
-                     f" mean_active_days={c['mean_active_days']}")
-    summary["age_table"] = eco["age_table"]
-    summary["tail"] = eco["tail"]
-    summary["cohort"] = eco["cohort"]
+        lines.append(f"{name}: " + " ".join(f"{key}={eco['cohort'][name][key]}"
+                                            for key in _COHORT_KEYS))
 
     text = "\n".join(lines)
     print(text)

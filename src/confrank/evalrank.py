@@ -15,9 +15,10 @@ from math import comb
 
 import numpy as np
 
+from . import serialize as S
 from . import trainer as T
 from .config import EvalConfig, ModelConfig, TrainConfig, VARIANTS
-from .datagen import DayLog, History, World, derive_features, engagement_probability
+from .datagen import History, World, derive_features, engagement_probability
 from .model import CAUSAL, Cam2Model
 from .schema import Schema
 
@@ -81,6 +82,17 @@ def tail_coverage(item_engagements, quantiles=(0.5, 0.75), popularity=None,
         out["bottom80_exposure_share"] = float(
             exp[popularity < cutoff].sum() / max(exp.sum(), 1.0))
     return out
+
+
+def item_tail_coverage(world: World, items, engagement) -> dict:
+    """Per-item "item_engagements" and "item_exposures" (one per event) of
+    events (items[e], engagement[e]), plus their tail_coverage."""
+    item_eng = np.zeros(world.n_items)
+    item_exp = np.zeros(world.n_items)
+    np.add.at(item_eng, items, engagement)
+    np.add.at(item_exp, items, 1.0)
+    return {"item_engagements": item_eng, "item_exposures": item_exp,
+            **tail_coverage(item_eng, popularity=world.popularity, item_exposures=item_exp)}
 
 
 AGE_BUCKET_LABELS = ("[0-1 day)", "[1-3 days)", "[3-10 days)", "[10+ days)")
@@ -186,12 +198,7 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
         shown = np.take_along_axis(cand, order, axis=1).reshape(-1)
         p = sum(engagement_probability(world, shown_users, shown, t)
                 for t in range(world.cfg.n_tasks))
-        item_eng = np.zeros(world.n_items)
-        item_exp = np.zeros(world.n_items)
-        np.add.at(item_eng, shown, p)
-        np.add.at(item_exp, shown, 1.0)
-        cov = tail_coverage(item_eng, popularity=world.popularity, item_exposures=item_exp)
-        out[name] = {"item_engagements": item_eng, "item_exposures": item_exp, **cov}
+        out[name] = item_tail_coverage(world, shown, p)
     return out
 
 
@@ -278,9 +285,7 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
 
     history = History.empty(world.n_users, world.n_items)
     for d in days[:-1]:
-        history.update(DayLog(d["day"], d["user_ids"], d["item_ids"], d["labels"], d["x"],
-                              d["features"], d["conformity_component"],
-                              d["relevance_component"]), world)
+        history.update(S.day_log(d), world)
     last, n = days[-1], eval_cfg.probe_samples
     replay, probes = {}, {}
     for seed in seeds:

@@ -11,19 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 PROB_CLIP = 1e-7
+PROB_RANGE = (PROB_CLIP, 1.0 - PROB_CLIP)  # every probability a loss reads is clipped to it
 
 
 class DegenerateLabelsError(ValueError):
     """Holdout labels are empty, all-positive or all-negative; NE is undefined."""
 
 
-def clip_probs(p) -> np.ndarray:
-    return np.clip(np.asarray(p, dtype=np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
-
-
 def bce(p, y) -> float:
     """Batch-mean binary cross-entropy with clipped probabilities."""
-    p = clip_probs(p)
+    p = np.clip(np.asarray(p, dtype=np.float64), *PROB_RANGE)
     y = np.asarray(y, dtype=np.float64)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 

@@ -33,13 +33,14 @@ loss term, for training and for the decoupling audit alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from . import losses as L
 from .autodiff import Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
+from .losses import PROB_RANGE
 from .schema import SIDES, Schema
 
 # Rows per gradless forward in predict and causal_embeddings, so inference
@@ -87,11 +88,12 @@ def _column_index(cols: list):
 
 
 class _Builder:
-    """Seeded parameter factory; one independent stream per subnetwork so
-    shared parts initialize identically across variants."""
+    """Seeded parameter factory for one of GROUPS; each group draws from its
+    own stream, seeded by its place in GROUPS, so shared parts initialize
+    identically across variants."""
 
-    def __init__(self, seed: int, group: str, group_index: int):
-        self.rng = np.random.default_rng([seed, group_index])
+    def __init__(self, seed: int, group: str):
+        self.rng = np.random.default_rng([seed, GROUPS.index(group)])
         self.group = group
         self.params = []
 
@@ -235,21 +237,21 @@ class Cam2Model:
     def _build(self):
         cfg, spec = self.config, self.spec
 
-        sb = _Builder(cfg.seed, "shared_bottom", 0)
+        sb = _Builder(cfg.seed, "shared_bottom")
         self._sb_inputs = sb.inputs(self.schema, cfg.embed_dim)
         self.shared_bottom = _Mlp(sb, "mlp", self._sb_inputs[1], cfg.shared_widths,
                                   relu_last=True)
         self._groups["shared_bottom"] = sb.params
 
-        # per CAUSAL module: builder stream, head width, pair op and topic
-        # mask, the topic-flag columns its target and mixture readout use
-        modules = ((2, 1, lambda tape, u, i: tape.abs(tape.add(u, i)),
+        # per CAUSAL module: head width, pair op and topic mask, the
+        # topic-flag columns its target and mixture readout use
+        modules = ((1, lambda tape, u, i: tape.abs(tape.add(u, i)),
                     lambda flags: np.ones((flags.shape[0], 1))),
-                   (3, self.k_topics, lambda tape, u, i: tape.mul(u, i), lambda flags: flags))
+                   (self.k_topics, lambda tape, u, i: tape.mul(u, i), lambda flags: flags))
         self._topic_masks = {}  # causal module name -> topic mask
-        for name, bucket, (stream, head_out, pair, mask) in zip(
+        for name, bucket, (head_out, pair, mask) in zip(
                 CAUSAL, spec.tower_buckets, modules, strict=True) if spec.causal else ():
-            b = _Builder(cfg.seed, name, stream)
+            b = _Builder(cfg.seed, name)
             module = _CausalModule(b, self.schema, bucket, cfg, spec.stop_grad, head_out, pair)
             for side, (_, width, _) in module.inputs.items():
                 if width == 0:
@@ -262,7 +264,7 @@ class Cam2Model:
             self.mixture_logits = Parameter("mixture/logits", np.zeros((1, len(CAUSAL))))
             self._groups["mixture"] = [self.mixture_logits]
 
-        th = _Builder(cfg.seed, "task_heads", 1)
+        th = _Builder(cfg.seed, "task_heads")
         head_in = cfg.shared_widths[-1]
         extra = len(CAUSAL) * cfg.causal_embed_dim if spec.causal else 0
         last = spec.inject_at == "last"
@@ -282,7 +284,7 @@ class Cam2Model:
 
     def zero_grads(self):
         for p in self.parameters():
-            p.zero_grad()
+            p.grad.fill(0.0)
 
     # -- forward --------------------------------------------------------
 
@@ -325,29 +327,23 @@ class Cam2Model:
         elif embeddings:
             head_in = tape.concat([shared_out, *embeddings], axis=1)
         for head in self.task_heads:
-            logit = head(tape, head_in, stop_before_last=before_last)
-            out.task_probs.append(self._squeeze_prob(tape, logit))
+            logit = head(tape, head_in, stop_before_last=before_last)  # [n, 1]
+            out.task_probs.append(tape.sum(tape.clip(tape.sigmoid(logit), *PROB_RANGE), axis=1))
         return out
-
-    def _squeeze_prob(self, tape: Tape, logit: Node) -> Node:
-        p = tape.clip(tape.sigmoid(logit), L.PROB_CLIP, 1.0 - L.PROB_CLIP)
-        return tape.sum(p, axis=1)  # [n, 1] -> [n]
 
     def _mixture(self, tape: Tape, out: ModelOutputs, flags: np.ndarray) -> Node:
         """Diagnostic Pr(t) = sum over causal modules m of w_m Pr(t|m), with
         Pr(t|m) the mean of m's prediction over its topic mask of the item
         topic flags. Only the mixture logits receive gradient from its loss,
         so each Pr(t|m) is an array off a stop-gradient read of m's pred."""
-        lo, hi = L.PROB_CLIP, 1.0 - L.PROB_CLIP
         w = tape.softmax(tape.leaf(self.mixture_logits))  # [1, len(CAUSAL)]
-        mix = None
+        terms = []
         for m, name in enumerate(CAUSAL):
             pred, mask = tape.stop_gradient(out.preds[name]).data, self._topic_masks[name](flags)
             denom = np.maximum(mask.sum(axis=1), 1.0)
-            p = tape.constant(clamp((pred * mask).sum(axis=1) * (1.0 / denom), lo, hi))
-            term = tape.mul(tape.sum(tape.slice_cols(w, m, m + 1), axis=1), p)  # [1] * [n]
-            mix = term if mix is None else tape.add(mix, term)
-        return mix
+            p = tape.constant(clamp((pred * mask).sum(axis=1) * (1.0 / denom), *PROB_RANGE))
+            terms.append(tape.mul(tape.sum(tape.slice_cols(w, m, m + 1), axis=1), p))  # [1] * [n]
+        return reduce(tape.add, terms)
 
     def topic_flags(self, features: np.ndarray) -> np.ndarray:
         return np.asarray(features, dtype=np.float64)[:, self.schema.slices["item_topic_flags"]]
@@ -362,7 +358,7 @@ class Cam2Model:
         topic mask, blended with the anchor label if joint_mix."""
         outs = self.forward(tape, features)
         labels = np.asarray(labels, dtype=np.float64)
-        terms = {f"task{t}": tape.bce(p, labels[:, t], L.PROB_CLIP, 1.0 - L.PROB_CLIP)
+        terms = {f"task{t}": tape.bce(p, labels[:, t], *PROB_RANGE)
                  for t, p in enumerate(outs.task_probs)}
         if self.spec.causal:
             anchor, flags = labels[:, 0], self.topic_flags(features)
@@ -374,8 +370,7 @@ class Cam2Model:
                 if self.spec.joint_mix:
                     target = (1 - lam) * target + lam * anchor[:, None] * mask
                 terms[f"{name}_loss"] = self._residual_loss(tape, outs.preds[name], target)
-            terms["mixture_loss"] = tape.bce(self._mixture(tape, outs, flags), anchor,
-                                             L.PROB_CLIP, 1.0 - L.PROB_CLIP)
+            terms["mixture_loss"] = tape.bce(self._mixture(tape, outs, flags), anchor, *PROB_RANGE)
         return outs, terms
 
     def training_objective(self, tape: Tape, features: np.ndarray, labels: np.ndarray, x):
@@ -388,10 +383,7 @@ class Cam2Model:
                    cfg.mixture_weight)  # zip stops at the task terms for Baseline
         pieces = [n if w == 1.0 else tape.scale(n, w)  # x * 1.0 is x, bit for bit
                   for n, w in zip(terms.values(), weights) if w]
-        objective = pieces[0]
-        for n in pieces[1:]:
-            objective = tape.add(objective, n)
-        return objective, outs, terms
+        return reduce(tape.add, pieces), outs, terms  # ((p0 + p1) + p2) + ...
 
     def _residual_loss(self, tape: Tape, pred: Node, target: np.ndarray) -> Node:
         """Row mean of sum over columns of |target - pred| (squared if
@@ -443,13 +435,8 @@ def gradient_provenance(model: Cam2Model, features, labels, x) -> dict:
         model.zero_grads()
         tape = Tape()
         _, terms = model.loss_terms(tape, features, labels, x)
-        if comp == "task":
-            node, *rest = list(terms.values())[:n_tasks]
-            for n in rest:
-                node = tape.add(node, n)
-        else:
-            node = terms[comp]
-        tape.backward(node)
+        tape.backward(reduce(tape.add, list(terms.values())[:n_tasks]) if comp == "task"
+                      else terms[comp])
         report[comp] = {
             g: max((float(np.abs(p.grad).max()) for p in ps), default=0.0)
             for g, ps in model.groups().items()

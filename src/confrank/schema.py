@@ -9,7 +9,7 @@ all features is a pure config change.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -83,15 +83,8 @@ class Schema:
         cats = self.cats_for()
         self._cat_cols = np.array([self.cat_col[s.name] for s in cats], dtype=np.int64)
         self._vocab = np.array([s.vocab_size for s in cats], dtype=np.float64)
-        canon = "\n".join(
-            f"{s.name}|{s.encoding}|{s.bucket}|{s.width}|{s.vocab_size}"
-            for s in self.specs
-        )
-        self._hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    @property
-    def hash(self) -> str:
-        return self._hash
+        canon = "\n".join("|".join(map(str, astuple(s))) for s in self.specs)
+        self.hash = hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def arity(self) -> int:
         """Raw vector length: dense widths plus one slot per categorical."""
@@ -163,18 +156,29 @@ def default_schema(k_topics: int = DEFAULT_TOPICS, n_age_buckets: int = 6,
 def write_schema_file(schema: Schema, path):
     from .serialize import write_atomic  # serialize imports datagen, which imports schema
 
-    text = "# name\tencoding\tbucket\twidth\tvocab_size\n" + "".join(
-        f"{s.name}\t{s.encoding}\t{s.bucket}\t{s.width}\t{s.vocab_size}\n" for s in schema.specs)
+    header = "# " + "\t".join(f.name for f in fields(FeatureSpec)) + "\n"
+    text = header + "".join("\t".join(map(str, astuple(s))) + "\n" for s in schema.specs)
     write_atomic(path, [text.encode()])
 
 
+def schema_from_rows(rows, where: str) -> Schema:
+    """The validated schema of [name, encoding, bucket, width, vocab_size]
+    rows (schema file lines, a checkpoint's "schema"); `where` names them."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"{where} is not a list of rows but {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 5
+                and all(isinstance(f, str) for f in row[:3])):
+            raise SchemaError(f"{where} row {i} is not [name, encoding, bucket, width, "
+                              f"vocab_size] with a string name, encoding and bucket: {row!r}")
+    return validate_schema([FeatureSpec(*row) for row in rows])
+
+
 def read_schema_file(path) -> Schema:
-    specs = []
+    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, enc, bucket, width, vocab = line.split("\t")
-            specs.append(FeatureSpec(name, enc, bucket, int(width), int(vocab)))
-    return validate_schema(specs)
+        for line in map(str.strip, fh):
+            if line and not line.startswith("#"):
+                cells = line.split("\t")
+                rows.append(cells[:3] + [int(v) for v in cells[3:]])
+    return schema_from_rows(rows, f"schema file {path}")

@@ -22,6 +22,7 @@ name and renamed onto it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ import os
 import numpy as np
 
 from . import config as C
-from .datagen import World
+from .datagen import DayLog, World
 
 CHECKPOINT_FORMAT = "confrank-checkpoint"
 WORLD_FORMAT = "confrank-world"
@@ -185,29 +186,28 @@ def day_filename(day: int) -> str:
     return f"day_{day:03d}.json"
 
 
+# the day record's keys after "schema_hash", in file order, each with its DayLog field
+_DAY_FIELDS = {"day": "day", "user_ids": "user_ids", "item_ids": "item_ids",
+               "features": "features", "x": "x_scalar", "labels": "labels",
+               "conformity_component": "conformity_component",
+               "relevance_component": "relevance_component"}
+_DAY_KEYS = ("schema_hash", *_DAY_FIELDS)
+
+
 def day_data_from_log(log, schema_hash: str) -> dict:
     """The day record: a DayLog's arrays under the names training reads, plus
     its day number and schema hash. A day file stores exactly this dict."""
-    return {
-        "schema_hash": schema_hash,
-        "day": log.day,
-        "user_ids": log.user_ids,
-        "item_ids": log.item_ids,
-        "features": log.features,
-        "x": log.x_scalar,
-        "labels": log.labels,
-        "conformity_component": log.conformity_component,
-        "relevance_component": log.relevance_component,
-    }
+    return {"schema_hash": schema_hash,
+            **{key: getattr(log, name) for key, name in _DAY_FIELDS.items()}}
+
+
+def day_log(record: dict) -> DayLog:
+    """The DayLog a day record holds (the inverse of day_data_from_log)."""
+    return DayLog(**{name: record[key] for key, name in _DAY_FIELDS.items()})
 
 
 def write_day_file(path, log, schema_hash: str):
     save_container(path, day_data_from_log(log, schema_hash), fmt=DAY_FORMAT)
-
-
-# the names of a day_data_from_log record
-_DAY_KEYS = ("schema_hash", "day", "user_ids", "item_ids", "features", "x", "labels",
-             "conformity_component", "relevance_component")
 
 
 def read_day_file(path) -> dict:
@@ -224,20 +224,25 @@ def write_manifest(out_dir, config_hash: str, schema_hash: str, filenames):
 
 
 def load_manifest(out_dir) -> dict:
-    payload = load_container(os.path.join(out_dir, MANIFEST_NAME), fmt="confrank-manifest",
+    manifest = os.path.join(out_dir, MANIFEST_NAME)
+    payload = load_container(manifest, fmt="confrank-manifest",
                              keys=("config_hash", "schema_hash", "files"))
+    if not isinstance(payload["files"], dict):
+        raise CheckpointError(f"{manifest} 'files' is not a mapping of file name to sha256")
     for name, digest in payload["files"].items():
+        if name in ("", ".", "..") or os.path.basename(name) != name or type(digest) is not str:
+            raise CheckpointError(f"{manifest} lists {name!r}: {digest!r}, not a plain file "
+                                  "name and its sha256")
         path = os.path.join(out_dir, name)
-        if not os.path.exists(path) or file_sha256(path) != digest:
+        if not os.path.isfile(path) or file_sha256(path) != digest:
             raise CheckpointError(f"dataset file {name} missing or tampered")
     return payload
 
 
 # -- world.json: the generator's ground truth ---------------------------
 
-_WORLD_ARRAYS = ("conformity", "interests", "activity", "age_bucket", "popularity",
-                 "topics", "quality", "birth_day", "content_type", "z_log_pop",
-                 "top_decile")
+# World's init fields after cfg, in order
+_WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(World) if f.init)[1:]
 
 
 def write_world_file(path, world: World):

@@ -16,9 +16,9 @@ import numpy as np
 from . import config as C
 from . import losses as L
 from . import serialize as S
-from .autodiff import Adam, Tape
+from .autodiff import Adam, Tape, check_names
 from .model import Cam2Model, check_decoupling
-from .schema import FeatureSpec, Schema, validate_schema
+from .schema import Schema, schema_from_rows
 
 
 day_data_from_log = S.day_data_from_log  # the day record is defined next to its file format
@@ -166,23 +166,14 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     if type(last_day) is not int or last_day < -1:
         raise S.CheckpointError(f"checkpoint 'last_day' must be an integer >= -1, "
                                 f"got {last_day!r}")
-    schema = validate_schema([FeatureSpec(*s) for s in payload["schema"]])
+    schema = schema_from_rows(payload["schema"], f"checkpoint {path} 'schema'")
     model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
     train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
     model = Cam2Model(model_cfg, schema)
-    names = {p.name for p in model.parameters()}
-    for name in payload["params"]:
-        if name not in names:
-            raise S.CheckpointError(
-                f"checkpoint holds parameter {name!r}, which a {model_cfg.variant} "
-                "model does not have")
-    for p in model.parameters():
-        if p.name not in payload["params"]:
-            raise S.CheckpointError(f"checkpoint missing parameter {p.name}")
-        arr = payload["params"][p.name]
-        if arr.shape != p.value.shape:
-            raise S.CheckpointError(f"parameter {p.name} shape mismatch")
-        p.value = arr
+    params = {p.name: p for p in model.parameters()}
+    check_names(f"{model_cfg.variant} checkpoint {path} 'params'", payload["params"], params)
+    for name, p in params.items():
+        p.value = payload["params"][name]  # the setter refuses another shape
     state = TrainState(model, train_cfg)
     state.optimizer.load_state_dict(payload["adam"])
     state.last_day = last_day

@@ -494,6 +494,7 @@ class TestAdam:
         ("drop_q", "no entry for parameter 'q'"),
         ("empty", "no entry for parameter 'p'"),
         ("extra_r", "unknown parameter 'r'"),
+        ("list", "not a mapping but list"),
     ])
     def test_state_must_name_exactly_the_parameters(self, edit, message):
         opt = Adam([make_param("p", [0.0]), make_param("q", [1.0])])
@@ -502,6 +503,8 @@ class TestAdam:
             del state["q"]
         elif edit == "empty":
             state = {}
+        elif edit == "list":
+            state = list(state.values())
         else:
             state["r"] = dict(state["q"])
         with pytest.raises(ValueError, match=message):

@@ -604,30 +604,52 @@ class TestReport:
         ("casual_without_users", "no ecosystem['cohort']['casual']['users'] key"),
         ("non_casual_without_active_days",
          "no ecosystem['cohort']['non_casual']['mean_active_days'] key"),
+        ("string_ne", "row 0 'ne_aggregated' of type str, not int or float"),
+        ("null_ne", "row 0 'ne_aggregated' of type NoneType, not int or float"),
+        ("list_variant", "unknown variant ['Proposed']"),
+        ("list_tail_counts", "ecosystem['tail']['counts'] of type list, not dict"),
+        ("string_age_rate",
+         "ecosystem['age_table']['[0-1 day)']['rate'] of type str, not int or float or NoneType"),
+        ("null_exposure_share",
+         "ecosystem['tail']['bottom80_exposure_share'] of type NoneType, not int or float"),
     ])
     def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
                                             message):
         metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
 
-        def without(*keys):
-            """A copy of metrics without ecosystem[keys[0]]...[keys[-1]]."""
+        drop = object()
+
+        def edited(*keys, value=drop):
+            """A copy of metrics whose ecosystem[keys[0]]...[keys[-1]] is
+            value, or is gone if no value is given."""
             bad = json.loads(json.dumps(metrics))
             node = bad["ecosystem"]
             for key in keys[:-1]:
                 node = node[key]
-            del node[keys[-1]]
+            if value is drop:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
             return bad
+
+        def with_ne(ne):
+            return {**metrics, "rows": [{**r, "ne_aggregated": ne} for r in metrics["rows"]]}
 
         bad = {"empty_object": {}, "no_rows": {**metrics, "rows": []},
                "rows_not_a_list": {**metrics, "rows": 5},
                "row_without_ne": {**metrics, "rows": [{}]}, "list": [metrics],
                "empty_ecosystem": {**metrics, "ecosystem": {}},
-               "age_bucket_without_rate": without("age_table", "[10+ days)", "rate"),
-               "tail_without_counts": without("tail", "counts"),
-               "cohort_without_window": without("cohort", "window_days"),
-               "casual_without_users": without("cohort", "casual", "users"),
-               "non_casual_without_active_days": without("cohort", "non_casual",
-                                                         "mean_active_days")}
+               "age_bucket_without_rate": edited("age_table", "[10+ days)", "rate"),
+               "tail_without_counts": edited("tail", "counts"),
+               "cohort_without_window": edited("cohort", "window_days"),
+               "casual_without_users": edited("cohort", "casual", "users"),
+               "non_casual_without_active_days": edited("cohort", "non_casual",
+                                                        "mean_active_days"),
+               "string_ne": with_ne("x"), "null_ne": with_ne(None),
+               "list_variant": {**metrics, "variant": ["Proposed"]},
+               "list_tail_counts": edited("tail", "counts", value=[1, 2]),
+               "string_age_rate": edited("age_table", "[0-1 day)", "rate", value="x"),
+               "null_exposure_share": edited("tail", "bottom80_exposure_share", value=None)}
         path = tmp_path / "metrics_Proposed_3.json"
         path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
@@ -767,20 +789,46 @@ def _set_first_schema_width(payload):
     payload["schema"][0][3] = "1"
 
 
+def _add_schema_field(payload):
+    payload["schema"][0].append(0)
+
+
+def _list_schema_name(payload):
+    payload["schema"][0][0] = ["user_age_bucket"]
+
+
+def _scalar_parameter(payload):
+    payload["params"][next(iter(payload["params"]))] = 0.5
+
+
 @pytest.mark.parametrize("command", ["rank", "train"])
 @pytest.mark.parametrize("case", ["string_last_day", "last_day_below_minus_one",
-                                  "string_schema_width"])
+                                  "string_schema_width", "six_field_schema_row",
+                                  "schema_not_a_list", "list_schema_name",
+                                  "params_not_a_mapping", "adam_not_a_mapping",
+                                  "scalar_parameter"])
 def test_checkpoint_field_types_are_checked(cli_env, trained_run, tmp_path, capsys,
                                             command, case):
-    """A checksum-valid checkpoint whose last_day is not an integer >= -1,
-    or whose schema gives a width that is not an integer, exits 2 naming the
-    key, not 3 from a comparison of mixed types."""
+    """A checksum-valid checkpoint whose last_day is not an integer >= -1;
+    whose schema is not a list, or has a row that is not five fields, or
+    whose row gives a name that is not a string or a width that is not an
+    integer; whose params or adam is not a mapping; or whose parameter is a
+    scalar, exits 2 naming the key, not 3."""
     _, _, data_dir = cli_env
     ckpt = trained_run[0] / "checkpoint_Proposed_3.json"
     edit, key = {
         "string_last_day": (lambda payload: payload.update(last_day="2"), "'last_day'"),
         "last_day_below_minus_one": (lambda payload: payload.update(last_day=-2), "'last_day'"),
         "string_schema_width": (_set_first_schema_width, "width must be an integer"),
+        "six_field_schema_row": (_add_schema_field, "'schema' row 0 is not [name,"),
+        "schema_not_a_list": (lambda payload: payload.update(schema=7),
+                              "'schema' is not a list of rows but int"),
+        "list_schema_name": (_list_schema_name, "'schema' row 0 is not [name,"),
+        "params_not_a_mapping": (lambda payload: payload.update(params=3),
+                                 "'params' is not a mapping but int"),
+        "adam_not_a_mapping": (lambda payload: payload.update(adam=5),
+                               "optimizer state is not a mapping but int"),
+        "scalar_parameter": (_scalar_parameter, "cannot assign shape ()"),
     }[case]
     bad = tmp_path / "ckpt.json"
     rewrite_payload(ckpt, bad, edit)
@@ -885,6 +933,38 @@ def test_dataset_file_without_payload_keys_is_validation_error(cli_env, tmp_path
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and name in err and "runtime error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("files_list", "'files' is not a mapping"),
+    ("files_int", "'files' is not a mapping"),
+    ("outside_file", "lists '../cfg.json'"),
+    ("digest_not_a_string", "lists 'schema.tsv': 5, not a plain file name and its sha256")])
+def test_manifest_files_are_checked(cli_env, tmp_path, capsys, case, message):
+    """A re-signed manifest whose files is not a mapping, that lists a file
+    outside the dataset directory (with that file's sha256), or that gives a
+    digest that is not a string, exits 2 naming the manifest before anything
+    is written to --out."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    (tmp_path / "cfg.json").write_text("{}")
+    outside = S.file_sha256(tmp_path / "cfg.json")
+    edit = {
+        "files_list": lambda payload: payload.update(files=list(payload["files"])),
+        "files_int": lambda payload: payload.update(files=5),
+        "outside_file": lambda payload: payload["files"].update({"../cfg.json": outside}),
+        "digest_not_a_string": lambda payload: payload["files"].update({"schema.tsv": 5}),
+    }[case]
+    manifest = bad / S.MANIFEST_NAME
+    rewrite_payload(manifest, manifest, edit)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and message in err and "runtime error" not in err
     assert not out.exists()
 
 

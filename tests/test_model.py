@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from confrank import model as M
 from confrank.model import (CAUSAL, INFER_CHUNK, Cam2Model, SchemaHashError, VariantError,
                             _column_index, _gather, check_decoupling, gradient_provenance)
 from confrank.schema import (ATTRIBUTE, DENSE, SIDES, STATISTICAL, FeatureSpec,
-                             validate_schema)
+                             default_schema, validate_schema)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,25 @@ class TestBuild:
         prop = build(schema, variant="Proposed")
         for pa, pb in zip(base.groups()["shared_bottom"], prop.groups()["shared_bottom"]):
             assert np.array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize("variant,digest", [
+        ("Baseline", "300cc863257efbb1"), ("Proposed", "26eb8bfa73dcff98"),
+        ("TaskArch", "2e4097b0e36a29df"), ("JointLoss", "54ed32506019f081"),
+        ("AllFeats", "54848b56cbf0997b")])
+    def test_initial_parameters_are_pinned(self, variant, digest):
+        """Each parameter's name and initial bytes, in parameters() order, then
+        each causal module's projection, hash to the value pinned for the
+        variant: each group's stream is seeded by its place in GROUPS, so
+        reordering GROUPS, or any draw inside a group, changes it."""
+        model = Cam2Model(tiny_model_config(variant=variant), default_schema(4))
+        h = hashlib.sha256()
+        for p in model.parameters():
+            h.update(p.name.encode())
+            h.update(p.value.tobytes())
+        for name in CAUSAL if model.spec.causal else ():
+            for array in getattr(model, name).proj:
+                h.update(array.value.tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_parameters_are_views_of_the_optimizer_buffers(self, batch):
         schema, features, labels, x = batch

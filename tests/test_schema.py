@@ -162,3 +162,22 @@ class TestDefaultSchema:
         path = tmp_path / "schema.tsv"
         S.write_schema_file(schema, path)
         assert S.read_schema_file(path).hash == schema.hash
+
+    def test_file_layout(self, tmp_path):
+        """A header naming the FeatureSpec fields, then one tab-separated row
+        per feature in FeatureSpec field order."""
+        path = tmp_path / "schema.tsv"
+        S.write_schema_file(S.default_schema(), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# name\tencoding\tbucket\twidth\tvocab_size"
+        assert lines[1] == "item_impression_count\tdense-real\tstatistical-engagement\t1\t0"
+        assert len(lines) == 11
+
+    def test_short_file_row_refused_naming_file_and_row(self, tmp_path):
+        path = tmp_path / "schema.tsv"
+        S.write_schema_file(S.default_schema(), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(S.SchemaError, match=f"schema file {path} row 1 is not"):
+            S.read_schema_file(path)

@@ -235,3 +235,19 @@ def test_day_file_round_trip_bitwise(tiny_dataset, tmp_path, n_events):
             assert got.tobytes() == want.tobytes(), name
         else:  # the day number and schema hash
             assert got == want, name
+
+
+def test_day_log_inverts_the_day_record(tiny_dataset, tmp_path):
+    """A day file's record holds its keys in file order, and serialize.day_log
+    rebuilds from it the DayLog it was written from, field for field."""
+    _, _, schema, logs, _ = tiny_dataset
+    log = logs[1]
+    path = str(tmp_path / S.day_filename(log.day))
+    S.write_day_file(path, log, schema.hash)
+    record = S.read_day_file(path)
+    assert list(record) == ["schema_hash", "day", "user_ids", "item_ids", "features", "x",
+                            "labels", "conformity_component", "relevance_component"]
+    back = S.day_log(record)
+    for f in dataclasses.fields(DayLog):
+        want, got = getattr(log, f.name), getattr(back, f.name)
+        assert type(got) is type(want) and np.array_equal(got, want), f.name
