@@ -23,7 +23,7 @@ never part of a reference cycle.
 Buffer ownership: an ``Adam`` optimizer holds every parameter's value,
 gradient and both moments in one contiguous buffer each, in ``params``
 order; ``Parameter.value`` and ``Parameter.grad`` are views into those
-buffers, and assigning to either copies into the view. Building a second
+buffers, and assigning to ``value`` copies into the view. Building a second
 optimizer over the same parameters re-homes them into its own buffers; the
 first optimizer then no longer updates them.
 
@@ -75,23 +75,12 @@ class Node:
         self.grad = None
         self.needs_grad = needs_grad
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def _assign(dst: np.ndarray, src, what: str):
-    src = _as_f64(src)
-    if src.shape != dst.shape:
-        raise ShapeMismatchError(f"cannot assign shape {src.shape} to {what} of shape {dst.shape}")
-    dst[...] = src
-
 
 class Parameter:
     """Named trainable array with a persistent gradient buffer.
 
     ``value`` and ``grad`` keep their arrays for life (an optimizer may move
-    them into its buffers); assigning to either copies into the array.
+    them into its buffers); assigning to ``value`` copies into its array.
     """
 
     def __init__(self, name: str, value):
@@ -105,15 +94,18 @@ class Parameter:
 
     @value.setter
     def value(self, arr):
-        _assign(self._value, arr, f"{self.name} value")
+        try:
+            arr = _as_f64(arr)
+        except (TypeError, ValueError) as e:
+            raise ShapeMismatchError(f"{self.name} value is not an array of numbers: {e}") from None
+        if arr.shape != self.shape:
+            raise ShapeMismatchError(
+                f"cannot assign shape {arr.shape} to {self.name} value of shape {self.shape}")
+        self._value[...] = arr
 
     @property
     def grad(self) -> np.ndarray:
         return self._grad
-
-    @grad.setter
-    def grad(self, arr):
-        _assign(self._grad, arr, f"{self.name} grad")
 
     @property
     def shape(self):

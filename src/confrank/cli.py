@@ -316,6 +316,14 @@ def _read_metrics(path) -> dict:
                 raise CliError(f"metrics file {path} has no {name} key", EXIT_VALIDATION)
             node = node[key]
         _check_type(path, name, node, types)
+    for q, n in run["ecosystem"]["tail"]["counts"].items():
+        name = f"ecosystem['tail']['counts'][{q!r}]"
+        try:
+            float(q)
+        except ValueError:
+            raise CliError(f"metrics file {path} has key {name}, not a number",
+                           EXIT_VALIDATION) from None
+        _check_type(path, name, n, (int,))
     return run
 
 

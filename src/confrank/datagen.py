@@ -15,12 +15,13 @@ byte is a deterministic function of (config, seed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DataConfig
-from .schema import Schema
+from .schema import Schema, default_schema
 
 
 class DataGenError(ValueError):
@@ -234,27 +235,25 @@ def _zscore_columns(mat: np.ndarray) -> np.ndarray:
     return dev / std
 
 
-# The five statistical engagement features, in the column order of the
-# z-scored block derive_features builds them in.
-STAT_FEATURES = ("item_impression_count", "item_view_count", "item_ctr_est",
-                 "user_engagement_count", "user_social_rate")
+@functools.cache
+def _generator_specs(k_topics: int, n_age_buckets: int, n_content_types: int) -> dict:
+    """name -> FeatureSpec of the features derive_features writes."""
+    return {s.name: s for s in default_schema(k_topics, n_age_buckets, n_content_types).specs}
 
 
 def _check_feature_schema(world: World, schema: Schema):
-    """Refuse a schema whose features are not exactly the ten, at the
-    widths, that derive_features writes."""
-    k = world.topics.shape[1]
-    want = {**dict.fromkeys(STAT_FEATURES, 1), "user_age_bucket": 1,
-            "user_interest_weights": k, "item_topic_flags": k, "item_quality": 1,
-            "content_type": 1}
-    have = {name: sl.stop - sl.start for name, sl in schema.slices.items()}
+    """Refuse a schema whose features, in any order, are not those of the
+    generator's default_schema for the world's config."""
+    cfg = world.cfg
+    want = _generator_specs(cfg.k_topics, cfg.n_age_buckets, cfg.n_content_types)
+    have = {s.name: s for s in schema.specs}
     if have != want:
         extra = sorted(have.keys() - want.keys())
         missing = sorted(want.keys() - have.keys())
-        widths = sorted(n for n in have.keys() & want.keys() if have[n] != want[n])
+        differ = sorted(n for n in have.keys() & want.keys() if have[n] != want[n])
         raise DataGenError(
             "schema does not match the generator's features: "
-            f"unknown {extra}, missing {missing}, wrong width {widths}")
+            f"unknown {extra}, missing {missing}, declared differently {differ}")
 
 
 def derive_features(world: World, history: History, users, items,
@@ -271,21 +270,21 @@ def derive_features(world: World, history: History, users, items,
         return np.zeros((0, schema.arity()))
     imps = history.item_impressions[items].astype(np.float64)
     clicks = history.item_clicks[items].astype(np.float64)
-    stat = np.column_stack([
-        np.log1p(imps),
-        np.log1p(history.item_views[items].astype(np.float64)),
-        (clicks + 1.0) / (imps + 2.0),  # Laplace-smoothed CTR estimate
-        np.log1p(history.user_engagements[users].astype(np.float64)),
-        (history.user_social[users] + 1.0)
+    stat = {
+        "item_impression_count": np.log1p(imps),
+        "item_view_count": np.log1p(history.item_views[items].astype(np.float64)),
+        "item_ctr_est": (clicks + 1.0) / (imps + 2.0),  # Laplace-smoothed CTR estimate
+        "user_engagement_count": np.log1p(history.user_engagements[users].astype(np.float64)),
+        "user_social_rate": (history.user_social[users] + 1.0)
         / (history.user_impressions[users] + 2.0),
-    ])
+    }
     # Statistical engagement columns are the nonstationary ones; they get the
     # per-day z-score. Attribute columns stay in natural units (topic flags
     # must remain binary so causal labels are derivable from dataset rows).
     out = np.empty((n, schema.arity()))
     at = schema.slices
-    z = _zscore_columns(stat)
-    for j, name in enumerate(STAT_FEATURES):
+    z = _zscore_columns(np.column_stack(list(stat.values())))
+    for j, name in enumerate(stat):
         out[:, at[name]] = z[:, j : j + 1]
     out[:, at["user_age_bucket"]] = world.age_bucket[users].reshape(n, 1)
     out[:, at["user_interest_weights"]] = world.interests[users]

@@ -53,6 +53,11 @@ def final_score(task_probs) -> np.ndarray:
     return p @ np.ones(p.shape[1])
 
 
+def _top_k_order(items: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-k indices along the last axis: descending score, ties by ascending item id."""
+    return np.lexsort((items, -scores), axis=-1)[..., :k]
+
+
 def rank_topk(model: Cam2Model, features: np.ndarray, item_ids, k: int, user_id: int = -1,
               schema_hash: str | None = None) -> RankedList:
     item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -61,7 +66,7 @@ def rank_topk(model: Cam2Model, features: np.ndarray, item_ids, k: int, user_id:
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
     scores = final_score(model.predict(features, schema_hash))
-    order = np.lexsort((item_ids, -scores))[: min(k, item_ids.size)]
+    order = _top_k_order(item_ids, scores, k)
     return RankedList(user_id, item_ids[order], scores[order])
 
 
@@ -193,9 +198,7 @@ def counterfactual_replay(models: dict, world: World, history, schema: Schema,
     out = {}
     for name, model in models.items():
         scores = final_score(model.predict(features)).reshape(len(users), n_cand)
-        # each user's top k (descending score, ties by item id), users in order
-        order = np.lexsort((cand, -scores), axis=1)[:, :k]
-        shown = np.take_along_axis(cand, order, axis=1).reshape(-1)
+        shown = np.take_along_axis(cand, _top_k_order(cand, scores, k), axis=1).reshape(-1)
         p = sum(engagement_probability(world, shown_users, shown, t)
                 for t in range(world.cfg.n_tasks))
         out[name] = item_tail_coverage(world, shown, p)

@@ -157,11 +157,8 @@ def save_checkpoint(state: TrainState, path):
 
 def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     payload = S.load_container(path, keys=("config_hash", "model_config", "train_config",
-                                           "schema", "last_day", "params", "adam"))
-    if expect_config_hash is not None and payload["config_hash"] != expect_config_hash:
-        raise S.CheckpointError(
-            f"checkpoint was trained under config {payload['config_hash']}, "
-            f"not {expect_config_hash}")
+                                           "schema", "schema_hash", "last_day", "params",
+                                           "adam"))
     last_day = payload["last_day"]
     if type(last_day) is not int or last_day < -1:
         raise S.CheckpointError(f"checkpoint 'last_day' must be an integer >= -1, "
@@ -169,6 +166,14 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     schema = schema_from_rows(payload["schema"], f"checkpoint {path} 'schema'")
     model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
     train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
+    config_hash = state_config_hash(model_cfg, train_cfg)
+    for key, derived in (("config_hash", config_hash), ("schema_hash", schema.hash)):
+        if payload[key] != derived:
+            raise S.CheckpointError(f"checkpoint {path} {key!r} is {payload[key]!r}, not "
+                                    f"{derived}, the hash of what it stores")
+    if expect_config_hash is not None and config_hash != expect_config_hash:
+        raise S.CheckpointError(f"checkpoint {path} was trained under config {config_hash}, "
+                                f"not {expect_config_hash}")
     model = Cam2Model(model_cfg, schema)
     params = {p.name: p for p in model.parameters()}
     check_names(f"{model_cfg.variant} checkpoint {path} 'params'", payload["params"], params)

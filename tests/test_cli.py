@@ -612,6 +612,8 @@ class TestReport:
          "ecosystem['age_table']['[0-1 day)']['rate'] of type str, not int or float or NoneType"),
         ("null_exposure_share",
          "ecosystem['tail']['bottom80_exposure_share'] of type NoneType, not int or float"),
+        ("word_tail_count_key", "key ecosystem['tail']['counts']['half'], not a number"),
+        ("word_tail_count", "ecosystem['tail']['counts']['0.5'] of type str, not int"),
     ])
     def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
                                             message):
@@ -649,7 +651,9 @@ class TestReport:
                "list_variant": {**metrics, "variant": ["Proposed"]},
                "list_tail_counts": edited("tail", "counts", value=[1, 2]),
                "string_age_rate": edited("age_table", "[0-1 day)", "rate", value="x"),
-               "null_exposure_share": edited("tail", "bottom80_exposure_share", value=None)}
+               "null_exposure_share": edited("tail", "bottom80_exposure_share", value=None),
+               "word_tail_count_key": edited("tail", "counts", value={"half": 3}),
+               "word_tail_count": edited("tail", "counts", value={"0.5": "three"})}
         path = tmp_path / "metrics_Proposed_3.json"
         path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
@@ -801,21 +805,30 @@ def _scalar_parameter(payload):
     payload["params"][next(iter(payload["params"]))] = 0.5
 
 
+def _object_parameter(payload):
+    payload["params"][next(iter(payload["params"]))] = {"a": 1}
+
+
 @pytest.mark.parametrize("command", ["rank", "train"])
 @pytest.mark.parametrize("case", ["string_last_day", "last_day_below_minus_one",
                                   "string_schema_width", "six_field_schema_row",
                                   "schema_not_a_list", "list_schema_name",
                                   "params_not_a_mapping", "adam_not_a_mapping",
-                                  "scalar_parameter"])
+                                  "scalar_parameter", "object_parameter",
+                                  "forged_config_hash", "forged_schema_hash", "no_schema_hash"])
 def test_checkpoint_field_types_are_checked(cli_env, trained_run, tmp_path, capsys,
                                             command, case):
     """A checksum-valid checkpoint whose last_day is not an integer >= -1;
     whose schema is not a list, or has a row that is not five fields, or
     whose row gives a name that is not a string or a width that is not an
-    integer; whose params or adam is not a mapping; or whose parameter is a
-    scalar, exits 2 naming the key, not 3."""
+    integer; whose params or adam is not a mapping; whose parameter is a
+    scalar or an object; or whose config_hash or schema_hash is not the hash
+    of the configs or schema rows it stores, or is missing, exits 2 naming
+    the key, not 3."""
     _, _, data_dir = cli_env
     ckpt = trained_run[0] / "checkpoint_Proposed_3.json"
+    first = next(iter(read_v3(ckpt)[0]["payload"]["params"]))
+    bad = tmp_path / "ckpt.json"
     edit, key = {
         "string_last_day": (lambda payload: payload.update(last_day="2"), "'last_day'"),
         "last_day_below_minus_one": (lambda payload: payload.update(last_day=-2), "'last_day'"),
@@ -829,8 +842,14 @@ def test_checkpoint_field_types_are_checked(cli_env, trained_run, tmp_path, caps
         "adam_not_a_mapping": (lambda payload: payload.update(adam=5),
                                "optimizer state is not a mapping but int"),
         "scalar_parameter": (_scalar_parameter, "cannot assign shape ()"),
+        "object_parameter": (_object_parameter, f"{first} value is not an array of numbers"),
+        "forged_config_hash": (lambda payload: payload.update(config_hash="0" * 16),
+                               f"checkpoint {bad} 'config_hash' is '{'0' * 16}', not"),
+        "forged_schema_hash": (lambda payload: payload.update(schema_hash="0" * 16),
+                               f"checkpoint {bad} 'schema_hash' is '{'0' * 16}', not"),
+        "no_schema_hash": (lambda payload: payload.pop("schema_hash"),
+                           f"{bad} payload has no 'schema_hash'"),
     }[case]
-    bad = tmp_path / "ckpt.json"
     rewrite_payload(ckpt, bad, edit)
     out = tmp_path / "o"
     argv = (["rank", "--checkpoint", str(bad), "--candidates", str(tmp_path / "c.tsv")]

@@ -285,11 +285,19 @@ class TestFeatureBuffer:
         for s in schema.specs:
             assert np.array_equal(got[:, reordered.slices[s.name]], want[:, schema.slices[s.name]])
 
-    @pytest.mark.parametrize("case", ["extra", "missing", "renamed", "wrong_width"])
+    @pytest.mark.parametrize("case", ["extra", "missing", "renamed", "wrong_width", "vocab",
+                                      "bucket"])
     def test_refuses_a_schema_it_cannot_fill(self, tiny_dataset, case):
+        """A schema is refused unless its features, in any order, are the
+        generator's as declared: names, widths, vocab sizes and buckets."""
         cfg, world, schema, logs, _ = tiny_dataset
         specs = list(schema.specs)
-        if case == "extra":
+        if case == "vocab":
+            specs = default_schema(cfg.k_topics, n_age_buckets=3).specs
+        elif case == "bucket":
+            specs = [dataclasses.replace(s, bucket=STATISTICAL) if s.name == "item_quality"
+                     else s for s in specs]
+        elif case == "extra":
             specs.append(FeatureSpec("item_age", DENSE, STATISTICAL))
         elif case == "missing":
             specs = [s for s in specs if s.name != "item_quality"]
@@ -299,8 +307,10 @@ class TestFeatureBuffer:
             specs = [FeatureSpec(s.name, s.encoding, s.bucket, cfg.k_topics + 1)
                      if s.name == "item_topic_flags" else s for s in specs]
         bad = validate_schema(specs)
+        assert cfg.n_age_buckets != 3
+        named = {"vocab": "user_age_bucket", "bucket": "item_quality"}.get(case, "")
         for n in (0, 5):
-            with pytest.raises(D.DataGenError, match="schema does not match"):
+            with pytest.raises(D.DataGenError, match=f"schema does not match.*{named}"):
                 D.derive_features(world, D.History.empty(world.n_users, world.n_items),
                                   np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), bad)
 

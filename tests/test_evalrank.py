@@ -53,6 +53,21 @@ class TestRankTopk:
             E.rank_topk(model, logs[0].features[:0], [], k=1)
 
 
+class TestTopKOrder:
+    ITEMS = np.array([[7, 2, 5, 4], [1, 3, 0, 9]])
+    SCORES = np.array([[0.5, 0.9, 0.5, 0.1], [0.2, 0.2, 0.2, 0.8]])
+    # descending score, equal scores by ascending item id
+    WANT = [[2, 5, 7, 4], [9, 0, 1, 3]]
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 10])
+    def test_each_row_alone_and_in_a_matrix(self, k):
+        want = [w[:k] for w in self.WANT]
+        for items, scores, row in zip(self.ITEMS, self.SCORES, want):
+            assert items[E._top_k_order(items, scores, k)].tolist() == row
+        order = E._top_k_order(self.ITEMS, self.SCORES, k)
+        assert np.take_along_axis(self.ITEMS, order, axis=1).tolist() == want
+
+
 class TestTailCoverage:
     def test_single_item(self):
         out = E.tail_coverage([0, 10, 0])
