@@ -50,26 +50,33 @@ def _prepare_out_dir(out_dir, force: bool):
 
 
 def _dataset_days(dataset_dir) -> tuple:
-    """Verify the manifest and load all day files in order."""
+    """Verify the manifest, then load the day files in order, refusing any
+    that is not a day record of the dataset's schema and world
+    (serialize.check_day_record)."""
     try:
         manifest = S.load_manifest(dataset_dir)
+        schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
+        if schema.hash != manifest["schema_hash"]:
+            raise CliError("schema file does not match manifest", EXIT_VALIDATION)
+        world = _dataset_world(dataset_dir)
+        days = []
         names = sorted(n for n in manifest["files"] if n.startswith("day_"))
-        days = [S.read_day_file(os.path.join(dataset_dir, n)) for n in names]
+        for day, name in enumerate(names):
+            path = os.path.join(dataset_dir, name)
+            days.append(S.read_day_file(path))
+            S.check_day_record(days[-1], day, schema, world, path)
     except S.CheckpointError as e:
         raise CliError(f"dataset refused: {e}", EXIT_VALIDATION)
-    schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
-    if schema.hash != manifest["schema_hash"]:
-        raise CliError("schema file does not match manifest", EXIT_VALIDATION)
     return manifest, schema, days
 
 
-def _check_task_count(model_cfg: C.ModelConfig, days):
-    """Refuse a model whose task count differs from the dataset's label width."""
+def _check_task_count(model_cfg: C.ModelConfig, world):
+    """Refuse a model whose task count differs from the dataset's (every
+    day's label width, by check_day_record)."""
     n_tasks = len(model_cfg.task_weights)
-    widths = {d["labels"].shape[1] for d in days}
-    if widths - {n_tasks}:
+    if n_tasks != world.cfg.n_tasks:
         raise CliError(f"the model has {n_tasks} tasks but the dataset has "
-                       f"{'/'.join(map(str, sorted(widths)))}", EXIT_VALIDATION)
+                       f"{world.cfg.n_tasks}", EXIT_VALIDATION)
 
 
 def _write_text(path, text: str):
@@ -155,7 +162,7 @@ def cmd_train(args) -> int:
         state = T.load_checkpoint(args.resume, expect_config_hash=expect)
         state.model.check_schema(schema.hash)
         model_cfg = state.model.config
-    _check_task_count(model_cfg, days)
+    _check_task_count(model_cfg, world)
     if args.resume and not any(d["day"] > state.last_day for d in days[:-1]):
         raise CliError(f"checkpoint {args.resume} has trained through day {state.last_day}: "
                        "no day before the dataset's holdout day is left to train",
@@ -203,7 +210,7 @@ def cmd_ablate(args) -> int:
     E.check_variants(args.variants)
     _, schema, days = _dataset_days(args.dataset)
     world = _dataset_world(args.dataset)
-    _check_task_count(cfg.model, days)
+    _check_task_count(cfg.model, world)
     _prepare_out_dir(args.out, args.force)
 
     result = E.ablation_run(cfg.model, cfg.train, cfg.eval, world, days, schema, seeds,
@@ -291,11 +298,13 @@ def _check_type(path, name: str, value, types):
 def _read_metrics(path) -> dict:
     """A `train` metrics file, refused unless it holds the keys report reads,
     with values of the types it renders, and at least one row."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             run = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError(f"metrics file {path} is not JSON: {e}", EXIT_VALIDATION)
+    except OSError as e:
+        raise CliError(f"cannot read metrics file {path}: {e.strerror}", EXIT_VALIDATION)
+    except ValueError as e:
+        raise CliError(f"metrics file {path} is not JSON: {e}", EXIT_VALIDATION)
     if not isinstance(run, dict):
         raise CliError(f"metrics file {path} is not a JSON object", EXIT_VALIDATION)
     for key in ("variant", "dataset_config_hash", "rows", "ecosystem"):

@@ -45,11 +45,15 @@ class World:
     birth_day: np.ndarray  # [n_items] int
     content_type: np.ndarray  # [n_items] int
     # derived
-    z_log_pop: np.ndarray  # standardized log popularity
-    top_decile: np.ndarray  # bool mask of top-10%-popularity items
+    z_log_pop: np.ndarray = field(init=False, repr=False)  # standardized log popularity
+    top_decile: np.ndarray = field(init=False, repr=False)  # bool mask of top-10%-popularity items
     topic_shares: np.ndarray = field(init=False, repr=False)  # phi_i / |phi_i|
 
     def __post_init__(self):
+        log_pop = np.log(self.popularity)
+        std = log_pop.std()
+        self.z_log_pop = (log_pop - log_pop.mean()) / (std if std > 0 else 1.0)
+        self.top_decile = self.popularity >= np.quantile(self.popularity, 0.9)
         self.topic_shares = self.topics / self.topics.sum(axis=1, keepdims=True)
 
     @property
@@ -145,12 +149,6 @@ def generate_world(cfg: DataConfig) -> World:
         lo = (d - 1) * cfg.new_items_per_day
         birth_day[late[lo : lo + cfg.new_items_per_day]] = d
 
-    log_pop = np.log(popularity)
-    std = log_pop.std()
-    z_log_pop = (log_pop - log_pop.mean()) / (std if std > 0 else 1.0)
-    cutoff = np.quantile(popularity, 0.9)
-    top_decile = popularity >= cutoff
-
     # Low-activity segment: without it the lognormal rates keep every user
     # active almost daily and the casual cohort (active 1-2 days per window)
     # is structurally empty. Drawn last so the draws above are unaffected.
@@ -159,8 +157,7 @@ def generate_world(cfg: DataConfig) -> World:
         activity = np.where(casual, activity * cfg.casual_activity_scale, activity)
 
     return World(cfg, conformity, interests, activity, age_bucket,
-                 popularity, topics, quality, birth_day, content_type,
-                 z_log_pop, top_decile)
+                 popularity, topics, quality, birth_day, content_type)
 
 
 def _draw_topics(rng: np.random.Generator, n_items: int, k: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .autodiff import Node, Parameter, Tape, clamp, glorot_uniform
 from .config import VARIANTS, ModelConfig
 from .labels import causal_labels
 from .losses import PROB_RANGE
-from .schema import SIDES, Schema
+from .schema import SIDES, Schema, SchemaError
 
 # Rows per gradless forward in predict and causal_embeddings, so inference
 # memory does not grow with the number of rows scored. A multiple of 4: with
@@ -227,6 +227,8 @@ class Cam2Model:
         self.config = config
         self.spec = VARIANTS[config.variant]
         self.schema = schema
+        if "item_topic_flags" not in schema.slices:  # the causal labels read it
+            raise SchemaError("the model needs an 'item_topic_flags' feature")
         flags = schema.slices["item_topic_flags"]
         self.k_topics = flags.stop - flags.start
         self._groups = {g: [] for g in GROUPS}

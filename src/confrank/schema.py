@@ -177,8 +177,11 @@ def schema_from_rows(rows, where: str) -> Schema:
 def read_schema_file(path) -> Schema:
     rows = []
     with open(path) as fh:
-        for line in map(str.strip, fh):
+        for number, line in enumerate(map(str.strip, fh), 1):
             if line and not line.startswith("#"):
                 cells = line.split("\t")
-                rows.append(cells[:3] + [int(v) for v in cells[3:]])
+                try:
+                    rows.append(cells[:3] + [int(v) for v in cells[3:]])
+                except ValueError as e:
+                    raise SchemaError(f"schema file {path} line {number}: {e}") from None
     return schema_from_rows(rows, f"schema file {path}")

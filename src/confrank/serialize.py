@@ -32,6 +32,7 @@ import numpy as np
 
 from . import config as C
 from .datagen import DayLog, World
+from .schema import Schema, SchemaError
 
 CHECKPOINT_FORMAT = "confrank-checkpoint"
 WORLD_FORMAT = "confrank-world"
@@ -214,6 +215,38 @@ def read_day_file(path) -> dict:
     return load_container(path, fmt=DAY_FORMAT, keys=_DAY_KEYS)
 
 
+def check_day_record(record: dict, day: int, schema: Schema, world: World, where: str):
+    """Refuse a loaded day record unless it is day number `day` of a dataset
+    of this schema and world: each per-event array has the dtype and the
+    shape [n] or [n, width] (n shared), ids lie inside the world, labels
+    are 0 or 1 for each of the world's tasks, x lies in [0, 1] and the
+    features pass schema.check_rows. CheckpointError names `where` and the
+    key at fault."""
+    if type(record["day"]) is not int or record["day"] != day:
+        raise CheckpointError(f"{where} 'day' is {record['day']!r}, not {day}")
+    n = getattr(record["user_ids"], "shape", ())[:1] or (-1,)  # no rows: nothing matches
+    for key, dtype, width, lo, hi in (
+            ("user_ids", np.int64, (), 0, world.n_users - 1),
+            ("item_ids", np.int64, (), 0, world.n_items - 1),
+            ("features", np.float64, (schema.arity(),), None, None),
+            ("x", np.float64, (), 0.0, 1.0),
+            ("labels", np.int64, (world.cfg.n_tasks,), 0, 1),
+            ("conformity_component", np.float64, (), None, None),
+            ("relevance_component", np.float64, (), None, None)):
+        a, shape = record[key], (*n, *width)
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape):
+            got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise CheckpointError(f"{where} {key!r} is {got}, not {np.dtype(dtype)} {shape}")
+        bad = np.argwhere(~((a >= lo) & (a <= hi))) if lo is not None else ()
+        if len(bad):
+            raise CheckpointError(f"{where} {key!r} holds {a[tuple(bad[0])]} at "
+                                  f"{bad[0].tolist()}, outside [{lo}, {hi}]")
+    try:
+        schema.check_rows(record["features"])
+    except SchemaError as e:
+        raise CheckpointError(f"{where} 'features': {e}") from None
+
+
 def write_manifest(out_dir, config_hash: str, schema_hash: str, filenames):
     payload = {
         "config_hash": config_hash,
@@ -248,7 +281,6 @@ _WORLD_ARRAYS = tuple(f.name for f in dataclasses.fields(World) if f.init)[1:]
 def write_world_file(path, world: World):
     """world.json: the data config plus every array."""
     arrays = {name: getattr(world, name) for name in _WORLD_ARRAYS}
-    arrays["top_decile"] = world.top_decile.astype(np.int64)
     save_container(path, {"config": C.to_dict(world.cfg), "arrays": arrays}, fmt=WORLD_FORMAT)
 
 
@@ -259,6 +291,5 @@ def read_world_file(path) -> World:
     missing = [name for name in _WORLD_ARRAYS if name not in stored]
     if missing:
         raise CheckpointError(f"{path} has no {missing[0]!r} array")
-    a = {name: stored[name] for name in _WORLD_ARRAYS}
-    a["top_decile"] = a["top_decile"].astype(bool)
-    return World(C._from_dict(C.DataConfig, payload["config"]), **a)
+    return World(C._from_dict(C.DataConfig, payload["config"]),
+                 **{name: stored[name] for name in _WORLD_ARRAYS})

@@ -4,6 +4,7 @@ confrank.serialize, and the older layouts it must refuse."""
 import base64
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -37,6 +38,19 @@ def rewrite_payload(src, dst, edit):
     doc, _, section = read_v3(src)
     edit(doc["payload"])
     write_v3(dst, doc["format"], json.dumps(doc["payload"]).encode(), section)
+
+
+def resign_manifest(dataset_dir):
+    """Rewrite the manifest of dataset_dir with the sha256 each file it lists
+    has now, so that an edited dataset file is refused, if at all, for its
+    content and not its digest."""
+    path = os.path.join(dataset_dir, S.MANIFEST_NAME)
+
+    def edit(payload):
+        for name in payload["files"]:
+            payload["files"][name] = S.file_sha256(os.path.join(dataset_dir, name))
+
+    rewrite_payload(path, path, edit)
 
 
 def _base64_arrays(node):

@@ -1,21 +1,26 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from containers import read_v3, rewrite_as_version, rewrite_payload, write_v3
+from containers import read_v3, resign_manifest, rewrite_as_version, rewrite_payload, write_v3
+from hypothesis import example, given, settings, strategies as st
 
 from confrank import cli
 from confrank import evalrank as E
 from confrank import serialize as S
 from confrank import trainer as T
+from confrank import config as C
 from confrank.config import VARIANTS, run_config_from_dict
 from confrank.datagen import History, generate_world, simulate_days
-from confrank.schema import default_schema, read_schema_file
+from confrank.schema import default_schema, read_schema_file, schema_from_rows
 
 TINY_CONFIG = {
     "data": {"n_users": 60, "n_items": 120, "k_topics": 4, "n_days": 4,
@@ -178,9 +183,7 @@ class TestTrain:
             lines.append("\t".join(f"{v:.17g}" for v in row))
         name = S.day_filename(1)
         (old / name).write_text("\n".join(lines) + "\n")
-        manifest = S.load_manifest(data_dir)
-        S.write_manifest(str(old), manifest["config_hash"], manifest["schema_hash"],
-                         list(manifest["files"]))
+        resign_manifest(old)
         assert cli.main(["train", "--config", cfg_path, "--dataset", str(old),
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -202,9 +205,7 @@ class TestTrain:
         old = tmp_path / f"v{version}_days"
         shutil.copytree(data_dir, old)
         rewrite_as_version(old / S.day_filename(1), version)
-        manifest = S.load_manifest(data_dir)
-        S.write_manifest(str(old), manifest["config_hash"], manifest["schema_hash"],
-                         list(manifest["files"]))
+        resign_manifest(old)
         out = tmp_path / "o"
         assert cli.main(["train", "--config", cfg_path, "--dataset", str(old),
                          "--out", str(out)]) == 2
@@ -661,6 +662,16 @@ class TestReport:
         assert str(path) in err and message in err
         assert not list(tmp_path.glob("report.*"))
 
+    def test_unreadable_metrics_file_refused(self, tmp_path, capsys):
+        """A metrics_*.json that cannot be read (here a directory) exits 2
+        naming it."""
+        path = tmp_path / "metrics_x.json"
+        path.mkdir()
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read metrics file {path}" in err and "runtime error" not in err
+        assert not list(tmp_path.glob("report.*"))
+
     def test_delta_vs_baseline(self, trained_run, tmp_path, capsys):
         metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
         baseline = {**metrics, "variant": "Baseline",
@@ -861,6 +872,82 @@ def test_checkpoint_field_types_are_checked(cli_env, trained_run, tmp_path, caps
     assert not out.exists()
 
 
+COMMITTED_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_Proposed_3.json"
+
+
+def _key_paths(node, path=()):
+    """The key path of every value under node, in nested dicts and lists."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield (*path, key)
+        yield from _key_paths(value, (*path, key))
+
+
+def _other_type(value):
+    """A value of another JSON type."""
+    return {str: 1, dict: [], list: {}}.get(type(value), "x")
+
+
+def _reshaped(value):
+    """An array descriptor with one more (size-1) dim, or a list one item
+    shorter; any other value as it is."""
+    if isinstance(value, dict) and "shape" in value:
+        return {**value, "shape": [*value["shape"], 1]}
+    return value[:-1] if isinstance(value, list) else value
+
+
+CHECKPOINT_EDITS = {"swap_type": _other_type, "reshape": _reshaped,
+                    "nan": lambda value: float("nan"), "negative": lambda value: -1}
+
+
+def _rederive_hashes(payload, edited: tuple):
+    """Make config_hash and schema_hash those of what the payload stores,
+    where it can be read and the edit was not to the hash itself, so that
+    only the edited field can be at fault."""
+    with contextlib.suppress(KeyError, ValueError):
+        if edited[0] != "config_hash":
+            payload["config_hash"] = T.state_config_hash(
+                C._from_dict(C.ModelConfig, payload["model_config"]),
+                C._from_dict(C.TrainConfig, payload["train_config"]))
+    with contextlib.suppress(KeyError, ValueError):
+        if edited[0] != "schema_hash":
+            payload["schema_hash"] = schema_from_rows(payload["schema"], "schema").hash
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(list(_key_paths(read_v3(COMMITTED_CHECKPOINT)[0]["payload"]))),
+       st.sampled_from(["drop", *CHECKPOINT_EDITS]))
+@example(path=("schema", 7), edit="drop")  # no item_topic_flags row: exited 3
+def test_edited_checkpoint_never_exits_3(cli_env, tmp_path_factory, path, edit):
+    """One field of a committed checkpoint dropped, given another JSON type,
+    reshaped, made NaN or made negative, then re-signed with its hashes
+    re-derived: `rank` ranks (0) or refuses it (2), and never fails (3)."""
+    _, _, data_dir = cli_env
+    root = tmp_path_factory.getbasetemp()
+    candidates = root / "edited_checkpoint_candidates.tsv"
+    if not candidates.exists():
+        day = S.read_day_file(os.path.join(data_dir, S.day_filename(1)))
+        write_candidates_file(str(candidates), np.arange(20), day["features"][:20],
+                              day["schema_hash"])
+
+    def apply(payload):
+        *head, key = path
+        node = functools.reduce(operator.getitem, head, payload)
+        if edit == "drop":
+            del node[key]
+        else:
+            node[key] = CHECKPOINT_EDITS[edit](node[key])
+        _rederive_hashes(payload, path)
+
+    bad = root / "edited_checkpoint.json"
+    rewrite_payload(COMMITTED_CHECKPOINT, bad, apply)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["rank", "--checkpoint", str(bad), "--candidates", str(candidates)])
+    assert code in (0, 2), err.getvalue()
+
+
 def _drop_adam_step_counts(payload):
     for entry in payload["adam"].values():
         del entry["t"]
@@ -905,24 +992,14 @@ def test_checkpoint_optimizer_entries_are_checked(cli_env, trained_run, tmp_path
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
-def test_non_finite_ne_is_a_runtime_failure(cli_env, tmp_path, capsys, command):
-    """A run whose holdout NE is not finite (here from one NaN feature in a
-    re-signed day 1) exits 3 naming the variant, seed and holdout day, and
-    writes no metrics_*.json or ablation.json."""
-    import shutil
+def test_non_finite_ne_is_a_runtime_failure(cli_env, tmp_path, monkeypatch, capsys, command):
+    """A run whose holdout NE is not finite (here every evaluation of a
+    diverged model reads NaN) exits 3 naming the variant, seed and holdout
+    day, and writes no metrics_*.json or ablation.json."""
     _, cfg_path, data_dir = cli_env
-    bad = tmp_path / "data"
-    shutil.copytree(data_dir, bad)
-    path = str(bad / S.day_filename(1))
-    day = S.read_day_file(path)
-    day["features"] = day["features"].copy()
-    day["features"][0, 0] = np.nan
-    S.save_container(path, day, fmt=S.DAY_FORMAT)
-    manifest = S.load_manifest(data_dir)
-    S.write_manifest(str(bad), manifest["config_hash"], manifest["schema_hash"],
-                     list(manifest["files"]))
+    monkeypatch.setattr(T, "evaluate_ne", lambda model, day: ((np.nan,) * 3, np.nan))
     out = tmp_path / "o"
-    argv = [command, "--config", cfg_path, "--dataset", str(bad), "--out", str(out)]
+    argv = [command, "--config", cfg_path, "--dataset", data_dir, "--out", str(out)]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     run = "Proposed seed 3" if command == "train" else "Baseline seed 0"
@@ -944,14 +1021,85 @@ def test_dataset_file_without_payload_keys_is_validation_error(cli_env, tmp_path
     bad = tmp_path / "data"
     shutil.copytree(data_dir, bad)
     S.save_container(str(bad / name), payload, fmt=fmt)
-    manifest = S.load_manifest(data_dir)
-    S.write_manifest(str(bad), manifest["config_hash"], manifest["schema_hash"],
-                     list(manifest["files"]))
+    resign_manifest(bad)
     out = tmp_path / "o"
     assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and name in err and "runtime error" not in err
+    assert not out.exists()
+
+
+def _set(key, value, index=0):
+    def edit(day):
+        day[key] = day[key].copy()
+        day[key][index] = value
+    return edit
+
+
+CONTENT_TYPE_COL = default_schema(TINY_CONFIG["data"]["k_topics"]).cat_col["content_type"]
+
+# each edit of day 1, with the array the refusal names; the first six exited
+# 3 or trained before the day-record check, the next two exited 2 only after
+# --out was made
+MALFORMED_DAYS = {
+    "x_three_rows_short": ("x", lambda day: day.update(x=day["x"][:-3])),
+    "item_id_of_a_million": ("item_ids", _set("item_ids", 10**6)),
+    "nan_feature": ("features", _set("features", np.nan)),
+    "category_of_99": ("features", _set("features", 99, (0, CONTENT_TYPE_COL))),
+    "one_d_labels": ("labels", lambda day: day.update(labels=day["labels"][:, 0].copy())),
+    "label_of_two": ("labels", _set("labels", 2)),
+    "labels_three_rows_short": ("labels", lambda day: day.update(labels=day["labels"][:-3])),
+    "x_of_five": ("x", _set("x", 5.0)),
+    "negative_user_id": ("user_ids", _set("user_ids", -1)),
+    "float_labels": ("labels", lambda day: day.update(labels=day["labels"] * 1.0)),
+    "day_number_skipped": ("day", lambda day: day.update(day=2)),
+    "no_row_dimension": ("user_ids", lambda day: day.update(
+        {key: np.asarray(day[key][0]) for key in S._DAY_FIELDS if key != "day"})),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", list(MALFORMED_DAYS))
+def test_malformed_day_record_refused_before_out(cli_env, tmp_path, capsys, command, case):
+    """A re-signed day file that fails serialize.check_day_record exits 2
+    naming the file and the array, before --out is made."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    path = str(bad / S.day_filename(1))
+    key, edit = MALFORMED_DAYS[case]
+    day = S.read_day_file(path)
+    edit(day)
+    S.save_container(path, day, fmt=S.DAY_FORMAT)
+    resign_manifest(bad)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} '{key}'" in err and "runtime error" not in err
+    assert not out.exists()
+
+
+def test_schema_file_cell_that_is_not_an_integer_refused(cli_env, tmp_path, capsys):
+    """A schema.tsv width of `one` exits 2 naming the file and the line."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    schema_path = bad / "schema.tsv"
+    lines = schema_path.read_text().splitlines(keepends=True)
+    cells = lines[1].split("\t")
+    cells[3] = "one"
+    lines[1] = "\t".join(cells)
+    schema_path.write_text("".join(lines))
+    resign_manifest(bad)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"schema file {schema_path} line 2: invalid literal for int()" in err
     assert not out.exists()
 
 
