@@ -20,6 +20,7 @@ from . import evalrank as E
 from . import serialize as S
 from . import trainer as T
 from .datagen import generate_world, simulate_days
+from .model import SchemaHashError
 from .schema import default_schema, read_schema_file, write_schema_file
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 1, 2, 3
@@ -230,8 +231,13 @@ def cmd_rank(args) -> int:
         raise CliError(f"k must be >= 1, got {args.k}", EXIT_USAGE)
     state = T.load_checkpoint(args.checkpoint)
     item_ids, features, schema_hash = _read_candidates(args.candidates)
+    try:
+        state.model.check_schema(schema_hash)
+    except SchemaHashError as e:
+        raise CliError(f"candidate file {args.candidates} does not fit checkpoint "
+                       f"{args.checkpoint}: {e}", EXIT_VALIDATION) from None
     state.model.schema.check_rows(features)
-    ranked = E.rank_topk(state.model, features, item_ids, args.k, schema_hash=schema_hash)
+    ranked = E.rank_topk(state.model, features, item_ids, args.k)
     for item, score in zip(ranked.item_ids, ranked.scores):
         print(f"{item}\t{score:.6f}")
     return EXIT_OK

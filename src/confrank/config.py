@@ -76,6 +76,8 @@ class DataConfig:
             raise ConfigError("casual_fraction must be in [0, 1)")
         if self.casual_activity_scale <= 0.0:
             raise ConfigError("casual_activity_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -113,6 +115,8 @@ class ModelConfig:
             raise ConfigError("task_weights must be >= 0 with at least one > 0")
         if min(self.conformity_weight, self.relevance_weight, self.mixture_weight) < 0:
             raise ConfigError("loss weights must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -130,6 +134,8 @@ class TrainConfig:
             raise ConfigError("lr and eps must be > 0")
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ConfigError("betas must be two values in [0, 1)")
+        if self.shuffle_seed < 0:
+            raise ConfigError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 @dataclass

@@ -10,12 +10,16 @@ against logged ground truth.
 
 Logs are emitted day by day. Exposure is tilted toward popular items
 (popularity feedback), histories fold strictly over past days, and every
-byte is a deterministic function of (config, seed).
+byte is a deterministic function of (config, seed). simulate_days uses one
+worker thread: it draws day d+1 while the caller's thread derives day d's
+features. Only that thread draws from the day rng, in day order, so the
+bytes are unchanged by it, and a run may use two cores.
 """
 
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,34 +295,68 @@ def derive_features(world: World, history: History, users, items,
     return out
 
 
+# Events per block of _draw_day's engagement terms. It runs on simulate_days'
+# worker thread, whose malloc arena nothing reuses once the thread is gone,
+# so its temporaries are kept to a block (the row values do not depend on it).
+_DRAW_ROWS = 2048
+
+
+def _draw_day(world: World, rng: np.random.Generator, day: int) -> tuple:
+    """The history-free part of one simulated day, and the only code that
+    draws from the day rng: exposure, Poisson counts, item choice, (user,
+    item) order and each task's label uniforms. Returns (users, items,
+    labels, conformity term, relevance term), the last two of the anchor task."""
+    cfg = world.cfg
+    live = np.flatnonzero(world.birth_day <= day)
+    weights = world.popularity[live] ** cfg.exposure_tilt
+    weights = weights / weights.sum()
+
+    n_per_user = rng.poisson(world.activity)
+    users = np.repeat(np.arange(world.n_users), n_per_user)
+    items = live[rng.choice(live.shape[0], size=users.shape[0], p=weights)]
+    order = np.argsort(users * world.n_items + items, kind="stable")
+    users, items = users[order], items[order]
+
+    n = users.shape[0]
+    uniforms = rng.random((cfg.n_tasks, n))  # task by task, as n-long draws
+    labels = np.empty((n, cfg.n_tasks), dtype=np.int64)
+    conf, rel = np.empty(n), np.empty(n)  # the anchor task's logged components
+    for lo in range(0, n, _DRAW_ROWS):
+        rows = slice(lo, lo + _DRAW_ROWS)
+        factors = _event_factors(world, users[rows], items[rows])
+        for t in range(cfg.n_tasks):
+            p, conf_t, rel_t = _engagement(cfg, factors, t)
+            labels[rows, t] = uniforms[t, rows] < p
+            if t == 0:
+                conf[rows], rel[rows] = conf_t, rel_t
+    return users, items, labels, conf, rel
+
+
 def simulate_days(world: World, schema: Schema):
-    """Yield one DayLog per simulated day, folding histories as we go."""
+    """Yield one DayLog per simulated day, folding histories as we go.
+
+    Day d+1's draw runs on one worker thread while this thread derives and
+    yields day d. Only the worker draws from the day rng, one day at a time
+    in day order, so every byte is that of drawing and deriving in turn.
+    Drawing ahead is valid because exposure reads no history. The worker is
+    joined when the generator finishes or is closed, and an exception raised
+    in a draw is raised here, by the next() that wants that day."""
     cfg = world.cfg
     rng = np.random.default_rng(cfg.seed + 1)
     history = History.empty(world.n_users, world.n_items)
 
-    for day in range(cfg.n_days):
-        live = np.flatnonzero(world.birth_day <= day)
-        weights = world.popularity[live] ** cfg.exposure_tilt
-        weights = weights / weights.sum()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        ahead = pool.submit(_draw_day, world, rng, 0)
+        for day in range(cfg.n_days):
+            users, items, labels, conf, rel = ahead.result()
+            if day + 1 < cfg.n_days:
+                ahead = pool.submit(_draw_day, world, rng, day + 1)
+            x = derive_x(history)[users]
+            features = derive_features(world, history, users, items, schema)
 
-        n_per_user = rng.poisson(world.activity)
-        users = np.repeat(np.arange(world.n_users), n_per_user)
-        items = live[rng.choice(live.shape[0], size=users.shape[0], p=weights)]
-        order = np.argsort(users * world.n_items + items, kind="stable")
-        users, items = users[order], items[order]
-
-        labels = np.zeros((users.shape[0], cfg.n_tasks), dtype=np.int64)
-        factors = _event_factors(world, users, items)
-        for t in range(cfg.n_tasks):
-            p, conf_t, rel_t = _engagement(cfg, factors, t)
-            labels[:, t] = (rng.random(users.shape[0]) < p).astype(np.int64)
-            if t == 0:
-                conf, rel = conf_t, rel_t  # the anchor task's logged components
-
-        x = derive_x(history)[users]
-        features = derive_features(world, history, users, items, schema)
-
-        log = DayLog(day, users, items, labels, x, features, conf, rel)
-        yield log
-        history.update(log, world)
+            log = DayLog(day, users, items, labels, x, features, conf, rel)
+            yield log
+            history.update(log, world)
+    finally:
+        pool.shutdown(cancel_futures=True)

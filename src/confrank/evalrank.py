@@ -233,10 +233,13 @@ def _check_unrepeated(kind: str, values: list) -> list:
 
 
 def check_seeds(seeds) -> list:
-    """The seeds of a paired comparison as a list: at least 5, none repeated."""
+    """The seeds of a paired comparison as a list: at least 5, none negative,
+    none repeated."""
     seeds = list(seeds)
     if len(seeds) < 5:
         raise EvalError(f"need at least 5 seeds for the paired comparison, got {len(seeds)}")
+    if min(seeds) < 0:
+        raise EvalError(f"seeds must be >= 0, got {min(seeds)}")
     return _check_unrepeated("seed", seeds)
 
 

@@ -161,15 +161,16 @@ def write_schema_file(schema: Schema, path):
     write_atomic(path, [text.encode()])
 
 
-def schema_from_rows(rows, where: str) -> Schema:
+def schema_from_rows(rows) -> Schema:
     """The validated schema of [name, encoding, bucket, width, vocab_size]
-    rows (schema file lines, a checkpoint's "schema"); `where` names them."""
+    rows (schema file lines, a checkpoint's "schema"). A SchemaError names
+    the row at fault but not where the rows came from: callers add that."""
     if not isinstance(rows, list):
-        raise SchemaError(f"{where} is not a list of rows but {type(rows).__name__}")
+        raise SchemaError(f"not a list of rows but {type(rows).__name__}")
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 5
                 and all(isinstance(f, str) for f in row[:3])):
-            raise SchemaError(f"{where} row {i} is not [name, encoding, bucket, width, "
+            raise SchemaError(f"row {i} is not [name, encoding, bucket, width, "
                               f"vocab_size] with a string name, encoding and bucket: {row!r}")
     return validate_schema([FeatureSpec(*row) for row in rows])
 
@@ -184,4 +185,7 @@ def read_schema_file(path) -> Schema:
                     rows.append(cells[:3] + [int(v) for v in cells[3:]])
                 except ValueError as e:
                     raise SchemaError(f"schema file {path} line {number}: {e}") from None
-    return schema_from_rows(rows, f"schema file {path}")
+    try:
+        return schema_from_rows(rows)
+    except SchemaError as e:
+        raise SchemaError(f"schema file {path}: {e}") from None

@@ -8,6 +8,7 @@ no metric ever sees data that already produced a gradient.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -155,32 +156,51 @@ def save_checkpoint(state: TrainState, path):
     S.save_container(path, payload)
 
 
+def _refusal(path, key: str, message) -> S.CheckpointError:
+    return S.CheckpointError(f"checkpoint {path} {key!r}: {message}")
+
+
+@contextlib.contextmanager
+def _checking(path, key: str):
+    """Re-raise a ValueError from reading the checkpoint's `key` as a
+    CheckpointError that names the file and the key."""
+    try:
+        yield
+    except ValueError as e:
+        raise _refusal(path, key, e) from None
+
+
 def load_checkpoint(path, expect_config_hash: str | None = None) -> TrainState:
     payload = S.load_container(path, keys=("config_hash", "model_config", "train_config",
                                            "schema", "schema_hash", "last_day", "params",
                                            "adam"))
     last_day = payload["last_day"]
     if type(last_day) is not int or last_day < -1:
-        raise S.CheckpointError(f"checkpoint 'last_day' must be an integer >= -1, "
-                                f"got {last_day!r}")
-    schema = schema_from_rows(payload["schema"], f"checkpoint {path} 'schema'")
-    model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
-    train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
+        raise _refusal(path, "last_day", f"must be an integer >= -1, got {last_day!r}")
+    with _checking(path, "schema"):
+        schema = schema_from_rows(payload["schema"])
+    with _checking(path, "model_config"):
+        model_cfg = C._from_dict(C.ModelConfig, payload["model_config"])
+    with _checking(path, "train_config"):
+        train_cfg = C._from_dict(C.TrainConfig, payload["train_config"])
     config_hash = state_config_hash(model_cfg, train_cfg)
     for key, derived in (("config_hash", config_hash), ("schema_hash", schema.hash)):
         if payload[key] != derived:
-            raise S.CheckpointError(f"checkpoint {path} {key!r} is {payload[key]!r}, not "
-                                    f"{derived}, the hash of what it stores")
+            raise _refusal(path, key, f"{payload[key]!r} is not {derived}, the hash of "
+                                      "what the checkpoint stores")
     if expect_config_hash is not None and config_hash != expect_config_hash:
-        raise S.CheckpointError(f"checkpoint {path} was trained under config {config_hash}, "
-                                f"not {expect_config_hash}")
-    model = Cam2Model(model_cfg, schema)
+        raise _refusal(path, "config_hash", f"trained under config {config_hash}, "
+                                            f"not {expect_config_hash}")
+    with _checking(path, "schema"):  # the model's own needs of the schema
+        model = Cam2Model(model_cfg, schema)
     params = {p.name: p for p in model.parameters()}
-    check_names(f"{model_cfg.variant} checkpoint {path} 'params'", payload["params"], params)
-    for name, p in params.items():
-        p.value = payload["params"][name]  # the setter refuses another shape
+    with _checking(path, "params"):
+        check_names(f"{model_cfg.variant} model's parameter map", payload["params"], params)
+        for name, p in params.items():
+            p.value = payload["params"][name]  # the setter refuses another shape
     state = TrainState(model, train_cfg)
-    state.optimizer.load_state_dict(payload["adam"])
+    with _checking(path, "adam"):
+        state.optimizer.load_state_dict(payload["adam"])
     state.last_day = last_day
     return state
 

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +207,103 @@ class TestSimulateDays:
             write_day_file(path, log, schema.hash)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+def _unstarted_then_closed(days):
+    days.close()
+
+
+def _first_day_then_dropped(days):
+    next(iter(days))  # the caller's reference is dropped with the generator
+
+
+def _islice_then_dropped(days):
+    list(itertools.islice(days, 2))
+
+
+def _one_day_then_closed(days):
+    next(days)
+    days.close()
+
+
+def _every_day(days):
+    list(days)
+
+
+class TestDrawThread:
+    """simulate_days draws day d+1 on one worker thread while it derives day
+    d; however the caller stops, the worker is gone when it has stopped."""
+
+    @pytest.mark.parametrize("stop", [_unstarted_then_closed, _first_day_then_dropped,
+                                      _islice_then_dropped, _one_day_then_closed, _every_day])
+    def test_stopping_leaves_no_thread(self, tiny_world, stop):
+        cfg, world = tiny_world
+        before = threading.active_count()
+        stop(D.simulate_days(world, default_schema(cfg.k_topics)))
+        assert threading.active_count() == before
+
+    def test_failing_draw_reaches_the_consumer(self, tiny_world, monkeypatch):
+        cfg, world = tiny_world
+        error = RuntimeError("draw failed")
+        real = D._draw_day
+
+        def draw(world, rng, day):
+            if day == 2:
+                raise error
+            return real(world, rng, day)
+
+        monkeypatch.setattr(D, "_draw_day", draw)
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(RuntimeError) as raised:
+            for log in D.simulate_days(world, default_schema(cfg.k_topics)):
+                seen.append(log.day)
+        assert raised.value is error
+        assert seen == [0, 1]
+        assert threading.active_count() == before
+
+    def test_one_worker_draws_every_day_in_order(self, tiny_world, monkeypatch):
+        cfg, world = tiny_world
+        calls = []
+        real = D._draw_day
+
+        def draw(world, rng, day):
+            calls.append((threading.get_ident(), day))
+            return real(world, rng, day)
+
+        monkeypatch.setattr(D, "_draw_day", draw)
+        list(D.simulate_days(world, default_schema(cfg.k_topics)))
+        threads = {ident for ident, _ in calls}
+        assert [day for _, day in calls] == list(range(cfg.n_days))
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    def test_concurrent_generators_give_the_same_days(self, tiny_world, tiny_dataset):
+        """Three callers, each with its own generator over one shared world,
+        with thread switches forced often: every day is the lone run's."""
+        cfg, world = tiny_world
+        schema, want = tiny_dataset[2], tiny_dataset[3]
+        results = [None] * 3
+
+        def run(i):
+            results[i] = list(D.simulate_days(world, schema))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got in results:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                for f in dataclasses.fields(D.DayLog):
+                    assert np.asarray(getattr(a, f.name)).tobytes() == \
+                        np.asarray(getattr(b, f.name)).tobytes(), f.name
 
 
 class TestDeriveFeatures:

@@ -179,5 +179,5 @@ class TestDefaultSchema:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit("\t", 1)[0]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(S.SchemaError, match=f"schema file {path} row 1 is not"):
+        with pytest.raises(S.SchemaError, match=f"schema file {path}: row 1 is not"):
             S.read_schema_file(path)
