@@ -11,14 +11,15 @@ Everything is float64. Tapes are single-use: build one per forward pass.
 
 Needs-grad rule: a node needs a gradient when a parameter can receive one
 through it. Constants and stop-gradient outputs do not; on a recording tape
-the outputs of ``leaf``, ``dense`` and ``embedding`` do, and any other op's
-output does when one of its inputs does. An op whose output needs no
-gradient records no backward function, and a backward function computes no
-gradient for an input that needs none. A gradless tape, ``Tape(grad=False)``,
-is for inference: its parameter-backed outputs need no gradient either, so
-it records nothing and a forward pass on it keeps no activation alive past
-its last use. Backward functions do not capture their tape, so a tape is
-never part of a reference cycle.
+the outputs of ``leaf``, ``dense`` and ``embedding`` do; any other op's
+output does when one of its inputs does, and only then does the op record
+its backward function. ``Tape._record`` applies that last rule for every op
+but ``concat``, which takes any number of inputs. A backward function
+computes no gradient for an input that needs none. A gradless tape,
+``Tape(grad=False)``, is for inference: its parameter-backed outputs need no
+gradient either, so it records nothing and a forward pass on it keeps no
+activation alive past its last use. Backward functions do not capture their
+tape, so a tape is never part of a reference cycle.
 
 Buffer ownership: an ``Adam`` optimizer holds every parameter's value,
 gradient and both moments in one contiguous buffer each, in ``params``
@@ -168,113 +169,75 @@ class Tape:
             self._ops.append((node, back))
         return node
 
+    def _record(self, data, back, a: Node, b: Node | None = None) -> Node:
+        """The output node of an op on a (and b): it needs a gradient when an
+        input does, and only then is back(output grad) recorded."""
+        out = Node(data, a.needs_grad or (b is not None and b.needs_grad))
+        if out.needs_grad:
+            self._ops.append((out, back))
+        return out
+
     # -- elementwise ----------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        out = Node(a.data + b.data, a.needs_grad or b.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                if a.needs_grad:
-                    _accum(a, _unbroadcast(g, a.data.shape))
-                if b.needs_grad:
-                    _accum(b, _unbroadcast(g, b.data.shape))
+        def back(g):
+            if a.needs_grad:
+                _accum(a, _unbroadcast(g, a.data.shape))
+            if b.needs_grad:
+                _accum(b, _unbroadcast(g, b.data.shape))
 
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data + b.data, back, a, b)
 
     def sub(self, a: Node, b: Node) -> Node:
-        out = Node(a.data - b.data, a.needs_grad or b.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                if a.needs_grad:
-                    _accum(a, _unbroadcast(g, a.data.shape))
-                if b.needs_grad:
-                    _accum(b, _unbroadcast(-g, b.data.shape))
+        def back(g):
+            if a.needs_grad:
+                _accum(a, _unbroadcast(g, a.data.shape))
+            if b.needs_grad:
+                _accum(b, _unbroadcast(-g, b.data.shape))
 
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data - b.data, back, a, b)
 
     def mul(self, a: Node, b: Node) -> Node:
-        out = Node(a.data * b.data, a.needs_grad or b.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                if a.needs_grad:
-                    _accum(a, _unbroadcast(g * b.data, a.data.shape))
-                if b.needs_grad:
-                    _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        def back(g):
+            if a.needs_grad:
+                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            if b.needs_grad:
+                _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data * b.data, back, a, b)
 
     def scale(self, a: Node, c: float) -> Node:
-        out = Node(a.data * c, a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g * c)
-
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data * c, lambda g: _accum(a, g * c), a)
 
     def relu(self, a: Node) -> Node:
-        out = Node(np.maximum(a.data, 0.0), a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g * (a.data > 0.0))
-
-            self._ops.append((out, back))
-        return out
+        return self._record(np.maximum(a.data, 0.0), lambda g: _accum(a, g * (a.data > 0.0)), a)
 
     def sigmoid(self, a: Node) -> Node:
         s = 1.0 / (1.0 + np.exp(-a.data))
-        out = Node(s, a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g * s * (1.0 - s))
-
-            self._ops.append((out, back))
-        return out
+        return self._record(s, lambda g: _accum(a, g * s * (1.0 - s)), a)
 
     def log(self, a: Node) -> Node:
-        out = Node(np.log(a.data), a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g / a.data)
-
-            self._ops.append((out, back))
-        return out
+        return self._record(np.log(a.data), lambda g: _accum(a, g / a.data), a)
 
     def abs(self, a: Node) -> Node:
-        out = Node(np.abs(a.data), a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g * np.sign(a.data))
-
-            self._ops.append((out, back))
-        return out
+        return self._record(np.abs(a.data), lambda g: _accum(a, g * np.sign(a.data)), a)
 
     def clip(self, a: Node, lo: float, hi: float) -> Node:
         """Clamp values; gradient passes through only where unclipped."""
-        out = Node(clamp(a.data, lo, hi), a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, g * ((a.data > lo) & (a.data < hi)))
-
-            self._ops.append((out, back))
-        return out
+        return self._record(clamp(a.data, lo, hi),
+                            lambda g: _accum(a, g * ((a.data > lo) & (a.data < hi))), a)
 
     def softmax(self, a: Node) -> Node:
         """Softmax over the last axis."""
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         s = e / e.sum(axis=-1, keepdims=True)
-        out = Node(s, a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                dot = (g * s).sum(axis=-1, keepdims=True)
-                _accum(a, s * (g - dot))
 
-            self._ops.append((out, back))
-        return out
+        def back(g):
+            dot = (g * s).sum(axis=-1, keepdims=True)
+            _accum(a, s * (g - dot))
+
+        return self._record(s, back, a)
 
     # -- reductions -----------------------------------------------------
 
@@ -284,31 +247,16 @@ class Tape:
         shape = a.data.shape
         if axis is not None and shape[axis] == 1:
             axis %= len(shape)
-            out = Node(a.data.reshape(shape[:axis] + shape[axis + 1:]), a.needs_grad)
-            if out.needs_grad:
-                def back(g):
-                    _accum(a, g.reshape(shape))
-
-                self._ops.append((out, back))
-            return out
-        out = Node(a.data.sum(axis=axis), a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, _spread(g, axis, a.data))
-
-            self._ops.append((out, back))
-        return out
+            return self._record(a.data.reshape(shape[:axis] + shape[axis + 1:]),
+                                lambda g: _accum(a, g.reshape(shape)), a)
+        return self._record(a.data.sum(axis=axis),
+                            lambda g: _accum(a, _spread(g, axis, a.data)), a)
 
     def mean(self, a: Node, axis=None) -> Node:
         """sum * (1/n), not ndarray.mean, so the bits match a scaled sum."""
         c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
-        out = Node(a.data.sum(axis=axis) * c, a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                _accum(a, _spread(g * c, axis, a.data))
-
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data.sum(axis=axis) * c,
+                            lambda g: _accum(a, _spread(g * c, axis, a.data)), a)
 
     # -- losses ---------------------------------------------------------
 
@@ -321,15 +269,13 @@ class Tape:
         not_y, not_pc = 1.0 - y, 1.0 - pc
         s = y * np.log(pc) + not_y * np.log(not_pc)
         c = 1.0 / s.size
-        out = Node((s.sum() * c) * -1.0, p.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                gs = np.full_like(s, (g * -1.0) * c)
-                d = -((gs * not_y) / not_pc) + (gs * y) / pc
-                _accum(p, d * ((p.data > lo) & (p.data < hi)))
 
-            self._ops.append((out, back))
-        return out
+        def back(g):
+            gs = np.full_like(s, (g * -1.0) * c)
+            d = -((gs * not_y) / not_pc) + (gs * y) / pc
+            _accum(p, d * ((p.data > lo) & (p.data < hi)))
+
+        return self._record((s.sum() * c) * -1.0, back, p)
 
     # -- linear algebra -------------------------------------------------
 
@@ -338,16 +284,14 @@ class Tape:
             raise ShapeMismatchError(
                 f"matmul shapes do not conform: {a.data.shape} @ {b.data.shape}"
             )
-        out = Node(a.data @ b.data, a.needs_grad or b.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                if a.needs_grad:
-                    _accum(a, g @ b.data.T)
-                if b.needs_grad:
-                    _accum(b, a.data.T @ g)
 
-            self._ops.append((out, back))
-        return out
+        def back(g):
+            if a.needs_grad:
+                _accum(a, g @ b.data.T)
+            if b.needs_grad:
+                _accum(b, a.data.T @ g)
+
+        return self._record(a.data @ b.data, back, a, b)
 
     def dense(self, x: Node, weights: Parameter, bias: Parameter, relu: bool = False,
               residual: Node | None = None) -> Node:
@@ -414,15 +358,12 @@ class Tape:
         return out
 
     def slice_cols(self, a: Node, start: int, stop: int) -> Node:
-        out = Node(a.data[:, start:stop], a.needs_grad)
-        if out.needs_grad:
-            def back(g):
-                full = np.zeros_like(a.data)
-                full[:, start:stop] = g
-                _accum(a, full)
+        def back(g):
+            full = np.zeros_like(a.data)
+            full[:, start:stop] = g
+            _accum(a, full)
 
-            self._ops.append((out, back))
-        return out
+        return self._record(a.data[:, start:stop], back, a)
 
     # -- embeddings -----------------------------------------------------
 

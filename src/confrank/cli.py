@@ -38,7 +38,7 @@ def _load_config(path) -> C.RunConfig:
     try:
         return C.load_run_config(path)
     except (OSError, json.JSONDecodeError, C.ConfigError) as e:
-        raise CliError(f"bad config file: {e}", EXIT_VALIDATION)
+        raise CliError(f"bad config file {path}: {e}", EXIT_VALIDATION)
 
 
 def _prepare_out_dir(out_dir, force: bool):
@@ -51,15 +51,19 @@ def _prepare_out_dir(out_dir, force: bool):
 
 
 def _dataset_days(dataset_dir) -> tuple:
-    """Verify the manifest, then load the day files in order, refusing any
-    that is not a day record of the dataset's schema and world
-    (serialize.check_day_record)."""
+    """Verify the manifest against the schema file and world.json, then load
+    the day files in order, refusing any that is not a day record of the
+    dataset's schema and world (serialize.check_day_record)."""
     try:
         manifest = S.load_manifest(dataset_dir)
         schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
         if schema.hash != manifest["schema_hash"]:
             raise CliError("schema file does not match manifest", EXIT_VALIDATION)
         world = _dataset_world(dataset_dir)
+        if manifest["config_hash"] != C.config_hash(world.cfg):
+            raise S.CheckpointError(
+                f"{os.path.join(dataset_dir, S.MANIFEST_NAME)} 'config_hash' is "
+                f"{manifest['config_hash']!r}, not world.json's {C.config_hash(world.cfg)!r}")
         days = []
         names = sorted(n for n in manifest["files"] if n.startswith("day_"))
         for day, name in enumerate(names):

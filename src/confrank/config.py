@@ -145,6 +145,11 @@ class EvalConfig:
     replay_k: int = 10
     probe_samples: int = 10000
 
+    def __post_init__(self):
+        for name in ("replay_users", "replay_candidates", "replay_k", "probe_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class RunConfig:

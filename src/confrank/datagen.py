@@ -32,6 +32,18 @@ class DataGenError(ValueError):
     pass
 
 
+def array_fault(a, dtype, shape: tuple, lo=None, hi=None) -> str | None:
+    """What keeps `a` from being an ndarray of this dtype and shape with
+    every value in [lo, hi] (unchecked if lo is None); None if nothing."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape):
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        return f"is {got}, not {np.dtype(dtype)} {shape}"
+    bad = np.argwhere(~((a >= lo) & (a <= hi))) if lo is not None else ()
+    if len(bad):
+        return f"holds {a[tuple(bad[0])]} at {bad[0].tolist()}, outside [{lo}, {hi}]"
+    return None
+
+
 @dataclass
 class World:
     """Ground-truth user/item factors for one simulated ecosystem."""
@@ -54,6 +66,19 @@ class World:
     topic_shares: np.ndarray = field(init=False, repr=False)  # phi_i / |phi_i|
 
     def __post_init__(self):
+        """Refuse an array whose dtype or shape does not fit cfg, or an int
+        array holding a value outside its range."""
+        c, f64, i64 = self.cfg, np.float64, np.int64
+        users, items, k = c.n_users, c.n_items, c.k_topics
+        for name, *spec in (
+                ("conformity", f64, (users,)), ("interests", f64, (users, k)),
+                ("activity", f64, (users,)), ("age_bucket", i64, (users,), 0, c.n_age_buckets - 1),
+                ("popularity", f64, (items,)), ("topics", f64, (items, k)),
+                ("quality", f64, (items,)), ("birth_day", i64, (items,), 0, c.n_days - 1),
+                ("content_type", i64, (items,), 0, c.n_content_types - 1)):
+            fault = array_fault(getattr(self, name), *spec)
+            if fault:
+                raise DataGenError(f"{name!r} {fault}")
         log_pop = np.log(self.popularity)
         std = log_pop.std()
         self.z_log_pop = (log_pop - log_pop.mean()) / (std if std > 0 else 1.0)
@@ -62,11 +87,11 @@ class World:
 
     @property
     def n_users(self):
-        return self.conformity.shape[0]
+        return self.cfg.n_users
 
     @property
     def n_items(self):
-        return self.popularity.shape[0]
+        return self.cfg.n_items
 
     def interest_alignment(self, users, items) -> np.ndarray:
         """<theta_u, phi_i / |phi_i|> for paired index arrays."""

@@ -31,7 +31,7 @@ import os
 import numpy as np
 
 from . import config as C
-from .datagen import DayLog, World
+from .datagen import DataGenError, DayLog, World, array_fault
 from .schema import Schema, SchemaError
 
 CHECKPOINT_FORMAT = "confrank-checkpoint"
@@ -217,11 +217,14 @@ def read_day_file(path) -> dict:
 
 def check_day_record(record: dict, day: int, schema: Schema, world: World, where: str):
     """Refuse a loaded day record unless it is day number `day` of a dataset
-    of this schema and world: each per-event array has the dtype and the
-    shape [n] or [n, width] (n shared), ids lie inside the world, labels
-    are 0 or 1 for each of the world's tasks, x lies in [0, 1] and the
-    features pass schema.check_rows. CheckpointError names `where` and the
-    key at fault."""
+    of this schema and world: it holds the schema's hash, each per-event
+    array has the dtype and the shape [n] or [n, width] (n shared), ids lie
+    inside the world, labels are 0 or 1 for each of the world's tasks, x
+    lies in [0, 1] and the features pass schema.check_rows. CheckpointError
+    names `where` and the key at fault."""
+    if record["schema_hash"] != schema.hash:
+        raise CheckpointError(f"{where} 'schema_hash' is {record['schema_hash']!r}, "
+                              f"not {schema.hash!r}")
     if type(record["day"]) is not int or record["day"] != day:
         raise CheckpointError(f"{where} 'day' is {record['day']!r}, not {day}")
     n = getattr(record["user_ids"], "shape", ())[:1] or (-1,)  # no rows: nothing matches
@@ -233,14 +236,9 @@ def check_day_record(record: dict, day: int, schema: Schema, world: World, where
             ("labels", np.int64, (world.cfg.n_tasks,), 0, 1),
             ("conformity_component", np.float64, (), None, None),
             ("relevance_component", np.float64, (), None, None)):
-        a, shape = record[key], (*n, *width)
-        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape):
-            got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
-            raise CheckpointError(f"{where} {key!r} is {got}, not {np.dtype(dtype)} {shape}")
-        bad = np.argwhere(~((a >= lo) & (a <= hi))) if lo is not None else ()
-        if len(bad):
-            raise CheckpointError(f"{where} {key!r} holds {a[tuple(bad[0])]} at "
-                                  f"{bad[0].tolist()}, outside [{lo}, {hi}]")
+        fault = array_fault(record[key], dtype, (*n, *width), lo, hi)
+        if fault:
+            raise CheckpointError(f"{where} {key!r} {fault}")
     try:
         schema.check_rows(record["features"])
     except SchemaError as e:
@@ -285,11 +283,18 @@ def write_world_file(path, world: World):
 
 
 def read_world_file(path) -> World:
-    """Inverse of write_world_file."""
+    """Inverse of write_world_file; CheckpointError names the file and the
+    array or config key at fault."""
     payload = load_container(path, fmt=WORLD_FORMAT, keys=("config", "arrays"))
     stored = payload["arrays"]
     missing = [name for name in _WORLD_ARRAYS if name not in stored]
     if missing:
         raise CheckpointError(f"{path} has no {missing[0]!r} array")
-    return World(C._from_dict(C.DataConfig, payload["config"]),
-                 **{name: stored[name] for name in _WORLD_ARRAYS})
+    try:
+        cfg = C._from_dict(C.DataConfig, payload["config"])
+    except C.ConfigError as e:
+        raise CheckpointError(f"{path} 'config': {e}") from None
+    try:
+        return World(cfg, **{name: stored[name] for name in _WORLD_ARRAYS})
+    except DataGenError as e:
+        raise CheckpointError(f"{path} {e}") from None

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,74 @@ def test_size_one_sum_is_a_reshape(axis):
     g = np.random.default_rng(8).normal(size=5)
     tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
     assert p.grad.shape == a0.shape and p.grad.tobytes() == g.tobytes()
+
+
+def _away(x, *kinks):
+    """x with every value within 0.1 of a kink moved 0.1 off it, so that no
+    central difference straddles a kink."""
+    for k in kinks:
+        x = np.where(np.abs(x - k) < 0.1, k + np.where(x >= k, 0.1, -0.1), x)
+    return x
+
+
+# each op whose output needs a gradient exactly when an input does: the op on
+# a tape, its input shapes and the map from normal draws to its inputs
+INPUT_DRIVEN_OPS = {
+    "add": (Tape.add, [(3, 4), (3, 4)], None),
+    "sub_broadcast": (Tape.sub, [(3, 4), (1, 4)], None),
+    "mul_broadcast": (Tape.mul, [(3, 4), (3, 1)], None),
+    "matmul": (Tape.matmul, [(3, 4), (4, 2)], None),
+    "scale": (lambda t, a: t.scale(a, -1.5), [(3, 4)], None),
+    "relu": (Tape.relu, [(3, 4)], lambda x: _away(x, 0.0)),
+    "sigmoid": (Tape.sigmoid, [(3, 4)], None),
+    "log": (Tape.log, [(3, 4)], lambda x: np.abs(x) + 0.5),
+    "abs": (Tape.abs, [(3, 4)], lambda x: _away(x, 0.0)),
+    "clip": (lambda t, a: t.clip(a, -0.5, 0.5), [(3, 4)], lambda x: _away(x, -0.5, 0.5)),
+    "softmax": (Tape.softmax, [(3, 4)], None),
+    "slice_cols": (lambda t, a: t.slice_cols(a, 1, 3), [(3, 4)], None),
+    "bce": (lambda t, p: t.bce(p, [0.0, 1.0, 1.0, 0.0, 1.0, 0.0], 0.2, 0.8), [(6,)],
+            lambda x: _away(1.0 / (1.0 + np.exp(-x)), 0.2, 0.8)),
+    "sum": (Tape.sum, [(3, 4)], None),
+    "sum_axis_0": (lambda t, a: t.sum(a, axis=0), [(3, 4)], None),
+    "sum_size_one_axis": (lambda t, a: t.sum(a, axis=1), [(3, 1)], None),
+    "mean": (Tape.mean, [(3, 4)], None),
+    "mean_axis_1": (lambda t, a: t.mean(a, axis=1), [(3, 4)], None),
+}
+
+
+@pytest.mark.parametrize("name,needs", [
+    pytest.param(name, needs, id=f"{name}-" + "-".join("grad" if n else "const" for n in needs))
+    for name, (_, shapes, _) in INPUT_DRIVEN_OPS.items()
+    for needs in itertools.product((False, True), repeat=len(shapes))])
+def test_input_driven_op_records_exactly_when_an_input_needs_grad(name, needs):
+    """The output needs a gradient exactly when an input does; only then is
+    one backward function recorded; it gives no gradient to a constant input,
+    and finite differences' gradient to each input that needs one."""
+    op, shapes, domain = INPUT_DRIVEN_OPS[name]
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=s) for s in shapes]
+    values = [domain(v) for v in values] if domain else values
+    params = [make_param(f"in{i}", v) for i, v in enumerate(values)]
+    tape = Tape()
+    inputs = [tape.leaf(p) if n else tape.constant(v) for p, v, n in zip(params, values, needs)]
+    before = len(tape._ops)
+    out = op(tape, *inputs)
+    assert out.needs_grad == any(needs)
+    assert [node for node, _ in tape._ops[before:]] == ([out] if any(needs) else [])
+    weights = rng.normal(size=out.data.shape)
+    tape.backward(tape.sum(tape.mul(out, tape.constant(weights))))
+
+    def loss_at(i, v):
+        t = Tape()
+        return float(np.sum(op(t, *map(t.constant, values[:i] + [v] + values[i + 1:])).data
+                            * weights))
+
+    for i, (node, p, n) in enumerate(zip(inputs, params, needs)):
+        if n:
+            fd = finite_difference_grad(lambda v: loss_at(i, v), values[i].copy())
+            assert np.allclose(p.grad, fd, atol=1e-7)
+        else:
+            assert node.grad is None
 
 
 class TestBackward:

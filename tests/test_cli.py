@@ -452,6 +452,23 @@ def test_negative_seed_refused_before_out(cli_env, tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("replay_k", 0), ("replay_candidates", 0), ("replay_users", -1), ("probe_samples", 0)])
+def test_eval_config_below_one_refused_before_out(cli_env, tmp_path, capsys, field, value):
+    """An eval config value below 1 makes ablate exit 2 naming the config
+    file and the field, before --out is made (ablate trained every run and
+    then failed, or wrote empty probes)."""
+    _, _, data_dir = cli_env
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {field: value}}))
+    out = tmp_path / "o"
+    assert cli.main(["ablate", "--config", str(cfg_path), "--dataset", data_dir,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad config file {cfg_path}: {field} must be >= 1, got {value}" in err
+    assert not out.exists()
+
+
 class TestRank:
     @pytest.fixture()
     def ckpt(self, trained_run):
@@ -1060,6 +1077,48 @@ def test_dataset_file_without_payload_keys_is_validation_error(cli_env, tmp_path
     assert not out.exists()
 
 
+def _cut_rows(name):
+    def edit(payload):
+        payload["arrays"][name]["shape"][0] -= 3
+    return edit
+
+
+def _set_config(key, value):
+    def edit(payload):
+        payload["config"][key] = value
+    return edit
+
+
+# each edit of world.json, with the array the refusal names: every array cut
+# 3 rows short, and a config that no longer fits the unchanged arrays
+MALFORMED_WORLDS = {
+    **{f"{name}_three_rows_short": (name, _cut_rows(name)) for name in S._WORLD_ARRAYS},
+    "config_of_ten_users": ("conformity", _set_config("n_users", 10)),
+    "config_of_five_topics": ("interests", _set_config("k_topics", 5)),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", list(MALFORMED_WORLDS))
+def test_malformed_world_refused_before_out(cli_env, tmp_path, capsys, command, case):
+    """A re-signed world.json whose arrays do not fit its own config exits 2
+    naming the file and the array, before --out is made."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    path = bad / "world.json"
+    key, edit = MALFORMED_WORLDS[case]
+    rewrite_payload(path, path, edit)
+    resign_manifest(bad)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} '{key}'" in err and "runtime error" not in err
+    assert not out.exists()
+
+
 def _set(key, value, index=0):
     def edit(day):
         day[key] = day[key].copy()
@@ -1086,6 +1145,7 @@ MALFORMED_DAYS = {
     "day_number_skipped": ("day", lambda day: day.update(day=2)),
     "no_row_dimension": ("user_ids", lambda day: day.update(
         {key: np.asarray(day[key][0]) for key in S._DAY_FIELDS if key != "day"})),
+    "forged_schema_hash": ("schema_hash", lambda day: day.update(schema_hash="0" * 16)),
 }
 
 
@@ -1162,6 +1222,23 @@ def test_manifest_files_are_checked(cli_env, tmp_path, capsys, case, message):
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(manifest) in err and message in err and "runtime error" not in err
+    assert not out.exists()
+
+
+def test_manifest_config_hash_must_be_world_configs(cli_env, tmp_path, capsys):
+    """A re-signed manifest whose config_hash is not that of world.json's
+    config exits 2 naming the manifest and the key, before --out is made."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    manifest, forged = bad / S.MANIFEST_NAME, "0" * 16
+    rewrite_payload(manifest, manifest, lambda payload: payload.update(config_hash=forged))
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest} 'config_hash' is '{forged}', not world.json's" in err
     assert not out.exists()
 
 
