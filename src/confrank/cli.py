@@ -51,19 +51,22 @@ def _prepare_out_dir(out_dir, force: bool):
 
 
 def _dataset_days(dataset_dir) -> tuple:
-    """Verify the manifest against the schema file and world.json, then load
-    the day files in order, refusing any that is not a day record of the
-    dataset's schema and world (serialize.check_day_record)."""
+    """Verify that the manifest lists and matches the schema file and
+    world.json, then load the day files in order, refusing any that is not a
+    day record of the dataset's schema and world (serialize.check_day_record)."""
+    manifest_path = os.path.join(dataset_dir, S.MANIFEST_NAME)
     try:
         manifest = S.load_manifest(dataset_dir)
+        for name in ("schema.tsv", "world.json"):
+            if name not in manifest["files"]:
+                raise S.CheckpointError(f"{manifest_path} 'files' does not list {name!r}")
         schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
-        if schema.hash != manifest["schema_hash"]:
-            raise CliError("schema file does not match manifest", EXIT_VALIDATION)
         world = _dataset_world(dataset_dir)
-        if manifest["config_hash"] != C.config_hash(world.cfg):
-            raise S.CheckpointError(
-                f"{os.path.join(dataset_dir, S.MANIFEST_NAME)} 'config_hash' is "
-                f"{manifest['config_hash']!r}, not world.json's {C.config_hash(world.cfg)!r}")
+        for key, name, value in (("schema_hash", "schema.tsv", schema.hash),
+                                 ("config_hash", "world.json", C.config_hash(world.cfg))):
+            if manifest[key] != value:
+                raise S.CheckpointError(
+                    f"{manifest_path} {key!r} is {manifest[key]!r}, not {name}'s {value!r}")
         days = []
         names = sorted(n for n in manifest["files"] if n.startswith("day_"))
         for day, name in enumerate(names):
@@ -220,7 +223,7 @@ def cmd_ablate(args) -> int:
 
     result = E.ablation_run(cfg.model, cfg.train, cfg.eval, world, days, schema, seeds,
                             args.variants)
-    table_text = E.render_ablation_table(result)
+    table_text = render_ne_table(result["table"])
     _write_text(os.path.join(args.out, "ablation.txt"), table_text + "\n")
     _write_text(os.path.join(args.out, "ablation.json"), json.dumps(result, indent=1))
     print(table_text)
@@ -284,6 +287,21 @@ def _read_candidates(path):
 # -- report -------------------------------------------------------------
 
 
+def render_ne_table(table: dict) -> str:
+    """An evalrank.ne_table as text, one row per variant; -- for a delta
+    that is None."""
+    def pct(value):
+        return "--" if value is None else f"{value:+.3f}%"  # Baseline's is +0.000%
+    header = (f"{'variant':<12} {'median NE':>10} {'median delta':>13} "
+              f"{'sign(neg/n)':>12} {'reference delta (not a target)':>31}")
+    lines = [header, "-" * len(header)]
+    for variant, row in table.items():
+        sign = f"{row['sign_test']['negative']}/{row['sign_test']['n']}"
+        lines.append(f"{variant:<12} {row['median_ne']:>10.5f} {pct(row['median_delta_pct']):>13} "
+                     f"{sign:>12} {pct(row['reference_delta_pct']):>31}")
+    return "\n".join(lines)
+
+
 _COHORT_KEYS = ("users", "mean_engagement", "mean_active_days")  # rendered per cohort
 
 # each key path of a metrics file's "ecosystem" that cmd_report renders, with
@@ -317,9 +335,10 @@ def _read_metrics(path) -> dict:
         raise CliError(f"metrics file {path} is not JSON: {e}", EXIT_VALIDATION)
     if not isinstance(run, dict):
         raise CliError(f"metrics file {path} is not a JSON object", EXIT_VALIDATION)
-    for key in ("variant", "dataset_config_hash", "rows", "ecosystem"):
+    for key in ("variant", "seed", "dataset_config_hash", "rows", "ecosystem"):
         if key not in run:
             raise CliError(f"metrics file {path} has no {key!r} key", EXIT_VALIDATION)
+    _check_type(path, "'seed'", run["seed"], (int,))
     if not isinstance(run["rows"], list) or not run["rows"]:
         raise CliError(f"metrics file {path} has no rows", EXIT_VALIDATION)
     for i, row in enumerate(run["rows"]):
@@ -355,6 +374,7 @@ def cmd_report(args) -> int:
         raise CliError(f"no metrics found in {args.metrics}", EXIT_VALIDATION)
     runs = [_read_metrics(path) for path in paths]
     dataset = runs[0]["dataset_config_hash"]
+    path_of, ne = {}, {}
     for path, run in zip(paths, runs):
         if not isinstance(run["variant"], str) or run["variant"] not in C.VARIANTS:
             raise CliError(f"metrics file {path} has unknown variant {run['variant']!r}; "
@@ -363,41 +383,30 @@ def cmd_report(args) -> int:
             raise CliError(f"metrics files {paths[0]} and {path} come from different datasets "
                            f"(dataset_config_hash {dataset} vs {run['dataset_config_hash']})",
                            EXIT_VALIDATION)
+        key = (run["variant"], run["seed"])
+        if key in path_of:
+            raise CliError(f"metrics files {path_of[key]} and {path} are both of variant "
+                           f"{key[0]} seed {key[1]}", EXIT_VALIDATION)
+        path_of[key] = path
+        ne[key] = float(np.mean([r["ne_aggregated"] for r in run["rows"]]))
 
-    by_variant = {}
-    for run in runs:
-        by_variant.setdefault(run["variant"], []).append(
-            float(np.mean([r["ne_aggregated"] for r in run["rows"]])))
-    base = float(np.median(by_variant["Baseline"])) if "Baseline" in by_variant else None
-
-    lines = ["== Holdout NE by variant =="]
-    lines.append(f"{'variant':<12} {'runs':>5} {'median NE':>10} {'delta vs Baseline':>18}")
+    table = E.ne_table({key: ne[key] for variant in C.VARIANTS for key in sorted(ne)
+                        if key[0] == variant})
     eco = runs[0]["ecosystem"]
-    summary = {"ne": {}, **{key: eco[key] for key in ("age_table", "tail", "cohort")}}
-    for variant in C.VARIANTS:
-        if variant not in by_variant:
-            continue
-        med = float(np.median(by_variant[variant]))
-        delta = "n/a" if base is None else f"{100.0 * (med - base) / base:+.3f}%"
-        summary["ne"][variant] = {"median_ne": med, "runs": len(by_variant[variant]),
-                                  "delta_vs_baseline": delta}
-        lines.append(f"{variant:<12} {len(by_variant[variant]):>5} {med:>10.5f} {delta:>18}")
-
-    lines.append("")
-    lines.append("== Engagement rate by item age (observed log) ==")
-    lines.append(E.render_age_table(eco["age_table"]))
-    lines.append("")
-    lines.append("== Long-tail coverage (observed log) ==")
-    for q, n in eco["tail"]["counts"].items():
-        lines.append(f"items covering {float(q) * 100:.0f}% of engagement: {n}")
-    lines.append(f"bottom-80%-popularity impression share: "
-                 f"{eco['tail']['bottom80_exposure_share']:.4f}")
-    lines.append("")
-    lines.append(f"== Casual-user cohort (window={eco['cohort']['window_days']}d, "
-                 "desk-scale proxy) ==")
-    for name in ("casual", "non_casual"):
-        lines.append(f"{name}: " + " ".join(f"{key}={eco['cohort'][name][key]}"
-                                            for key in _COHORT_KEYS))
+    summary = {"ne": table, **{key: eco[key] for key in ("age_table", "tail", "cohort")}}
+    rates = [eco["age_table"][label]["rate"] for label in E.AGE_BUCKET_LABELS]
+    lines = ["== Holdout NE by variant ==", render_ne_table(table), "",
+             "== Engagement rate by item age (observed log) ==",
+             " | ".join(f"{label:>12}" for label in E.AGE_BUCKET_LABELS),
+             " | ".join(f"{'n/a' if rate is None else f'{rate:.4f}':>12}" for rate in rates), "",
+             "== Long-tail coverage (observed log) ==",
+             *(f"items covering {float(q) * 100:.0f}% of engagement: {n}"
+               for q, n in eco["tail"]["counts"].items()),
+             "bottom-80%-popularity impression share: "
+             f"{eco['tail']['bottom80_exposure_share']:.4f}", "",
+             f"== Casual-user cohort (window={eco['cohort']['window_days']}d, desk-scale proxy) ==",
+             *(f"{name}: " + " ".join(f"{key}={eco['cohort'][name][key]}" for key in _COHORT_KEYS)
+               for name in ("casual", "non_casual"))]
 
     text = "\n".join(lines)
     print(text)

@@ -66,19 +66,25 @@ class World:
     topic_shares: np.ndarray = field(init=False, repr=False)  # phi_i / |phi_i|
 
     def __post_init__(self):
-        """Refuse an array whose dtype or shape does not fit cfg, or an int
-        array holding a value outside its range."""
-        c, f64, i64 = self.cfg, np.float64, np.int64
+        """Refuse an array whose dtype or shape does not fit cfg, a value
+        outside its range (NaN included), or a topics row that is not 0/1
+        with at least one topic."""
+        c, f64, i64, big = self.cfg, np.float64, np.int64, np.finfo(np.float64).max
         users, items, k = c.n_users, c.n_items, c.k_topics
         for name, *spec in (
-                ("conformity", f64, (users,)), ("interests", f64, (users, k)),
-                ("activity", f64, (users,)), ("age_bucket", i64, (users,), 0, c.n_age_buckets - 1),
-                ("popularity", f64, (items,)), ("topics", f64, (items, k)),
-                ("quality", f64, (items,)), ("birth_day", i64, (items,), 0, c.n_days - 1),
+                ("conformity", f64, (users,), 0, 1), ("interests", f64, (users, k), 0, 1),
+                ("activity", f64, (users,), 0, big),
+                ("age_bucket", i64, (users,), 0, c.n_age_buckets - 1),
+                ("popularity", f64, (items,), np.nextafter(0.0, 1.0), big),
+                ("topics", f64, (items, k)), ("quality", f64, (items,), 0, 1),
+                ("birth_day", i64, (items,), 0, c.n_days - 1),
                 ("content_type", i64, (items,), 0, c.n_content_types - 1)):
             fault = array_fault(getattr(self, name), *spec)
             if fault:
                 raise DataGenError(f"{name!r} {fault}")
+        multi_hot = ((self.topics == 0) | (self.topics == 1)).all(axis=1) & self.topics.any(axis=1)
+        if not multi_hot.all():
+            raise DataGenError(f"'topics' row {np.argmin(multi_hot)} is not multi-hot with a topic")
         log_pop = np.log(self.popularity)
         std = log_pop.std()
         self.z_log_pop = (log_pop - log_pop.mean()) / (std if std > 0 else 1.0)

@@ -249,6 +249,31 @@ def check_variants(variants) -> list:
     return _check_unrepeated("variant", list(variants) if variants else list(VARIANTS))
 
 
+def ne_table(runs: dict) -> dict:
+    """The NE comparison of variants against Baseline, paired by seed: runs
+    maps (variant, seed) to a run's aggregated NE. Per variant, in the order
+    runs names them: each seed's NE and delta_pct against that seed's
+    Baseline (None if it has none), the median NE, the median and sign test
+    of the paired deltas (None and n = 0 if there is none), and the
+    published reference delta."""
+    per_variant = {}
+    for (variant, seed), ne in runs.items():
+        base = runs.get(("Baseline", seed))
+        per_variant.setdefault(variant, {})[seed] = {
+            "ne": ne, "delta_pct": None if base is None else 100.0 * (ne - base) / base}
+    table = {}
+    for variant, per_seed in per_variant.items():
+        deltas = [c["delta_pct"] for c in per_seed.values() if c["delta_pct"] is not None]
+        table[variant] = {
+            "per_seed": per_seed,
+            "median_ne": float(np.median([c["ne"] for c in per_seed.values()])),
+            "median_delta_pct": float(np.median(deltas)) if deltas else None,
+            "sign_test": paired_sign_test(deltas),
+            "reference_delta_pct": REFERENCE_DELTAS_PCT.get(variant),
+        }
+    return table
+
+
 def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalConfig,
                  world: World, days: list, schema: Schema, seeds, variants=None) -> dict:
     """The whole variant comparison: run_experiment for every (variant, seed),
@@ -274,21 +299,6 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
             runs[(variant, seed)] = aggregate_ne(rows)
             models[seed][variant] = state.model
 
-    table = {}
-    for variant in variants:
-        per_seed = {}
-        for seed in seeds:
-            ne, base = runs[(variant, seed)], runs[("Baseline", seed)]
-            per_seed[seed] = {"ne": ne, "delta_pct": 100.0 * (ne - base) / base}
-        deltas = [cell["delta_pct"] for cell in per_seed.values()]
-        table[variant] = {
-            "per_seed": per_seed,
-            "median_ne": float(np.median([cell["ne"] for cell in per_seed.values()])),
-            "median_delta_pct": float(np.median(deltas)),
-            "sign_test": paired_sign_test(deltas),
-            "reference_delta_pct": REFERENCE_DELTAS_PCT.get(variant),
-        }
-
     history = History.empty(world.n_users, world.n_items)
     for d in days[:-1]:
         history.update(S.day_log(d), world)
@@ -303,33 +313,6 @@ def ablation_run(model_cfg: ModelConfig, train_cfg: TrainConfig, eval_cfg: EvalC
             v: disentanglement_probe(m, world, last["features"][:n],
                                      last["user_ids"][:n], last["item_ids"][:n])
             for v, m in models[seed].items() if m.spec.causal}
-    return {"seeds": seeds, "variants": variants, "table": table, "replay": replay,
+    return {"seeds": seeds, "variants": variants, "table": ne_table(runs), "replay": replay,
             "probes": probes}
 
-
-# -- rendering ----------------------------------------------------------
-
-
-def render_ablation_table(result: dict) -> str:
-    lines = []
-    header = (f"{'variant':<12} {'median NE':>10} {'median delta':>13} "
-              f"{'sign(neg/n)':>12} {'reference delta (not a target)':>31}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for variant in result["variants"]:
-        row = result["table"][variant]
-        med = f"{row['median_ne']:.5f}"
-        delta = f"{row['median_delta_pct']:+.3f}%"  # Baseline's is exactly +0.000%
-        ref = (f"{row['reference_delta_pct']:+.3f}%"
-               if row["reference_delta_pct"] is not None else "--")
-        sign = f"{row['sign_test']['negative']}/{row['sign_test']['n']}"
-        lines.append(f"{variant:<12} {med:>10} {delta:>13} {sign:>12} {ref:>31}")
-    return "\n".join(lines)
-
-
-def render_age_table(table: dict) -> str:
-    def fmt(rate):
-        return "n/a" if rate is None else f"{rate:.4f}"
-    return "\n".join([" | ".join(f"{label:>12}" for label in AGE_BUCKET_LABELS),
-                      " | ".join(f"{fmt(table[label]['rate']):>12}"
-                                 for label in AGE_BUCKET_LABELS)])

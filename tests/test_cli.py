@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_model_config
 from containers import read_v3, resign_manifest, rewrite_as_version, rewrite_payload, write_v3
 from hypothesis import example, given, settings, strategies as st
 
@@ -659,6 +660,8 @@ class TestReport:
          "ecosystem['tail']['bottom80_exposure_share'] of type NoneType, not int or float"),
         ("word_tail_count_key", "key ecosystem['tail']['counts']['half'], not a number"),
         ("word_tail_count", "ecosystem['tail']['counts']['0.5'] of type str, not int"),
+        ("no_seed", "no 'seed' key"),
+        ("string_seed", "'seed' of type str, not int"),
     ])
     def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
                                             message):
@@ -698,7 +701,9 @@ class TestReport:
                "string_age_rate": edited("age_table", "[0-1 day)", "rate", value="x"),
                "null_exposure_share": edited("tail", "bottom80_exposure_share", value=None),
                "word_tail_count_key": edited("tail", "counts", value={"half": 3}),
-               "word_tail_count": edited("tail", "counts", value={"0.5": "three"})}
+               "word_tail_count": edited("tail", "counts", value={"0.5": "three"}),
+               "no_seed": {k: v for k, v in metrics.items() if k != "seed"},
+               "string_seed": {**metrics, "seed": "3"}}
         path = tmp_path / "metrics_Proposed_3.json"
         path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
@@ -725,8 +730,39 @@ class TestReport:
         (tmp_path / "metrics_Baseline_3.json").write_text(json.dumps(baseline))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 0
         ne = json.loads((tmp_path / "report.json").read_text())["ne"]
-        assert ne["Baseline"]["delta_vs_baseline"] == "+0.000%"
-        assert ne["Proposed"]["delta_vs_baseline"] == "-50.000%"
+        assert ne["Baseline"]["median_delta_pct"] == 0.0
+        assert ne["Proposed"]["median_delta_pct"] == pytest.approx(-50.0, abs=1e-9)
+
+    def test_delta_is_paired_by_seed(self, trained_run, tmp_path, capsys):
+        """report's NE table is ablate's: the median of each seed's delta
+        against that seed's Baseline (-5 % here), not the delta of the two
+        medians (+20 %), with the sign test over those deltas; a seed with
+        no Baseline run has no delta."""
+        metrics = json.loads((trained_run[0] / "metrics_Proposed_3.json").read_text())
+        for variant, nes in (("Baseline", (1.0, 1.0, 2.0)), ("Proposed", (0.9, 1.2, 1.9))):
+            for seed, ne in enumerate(nes):
+                run = {**metrics, "variant": variant, "seed": seed,
+                       "rows": [{**metrics["rows"][0], "ne_aggregated": ne}]}
+                (tmp_path / f"metrics_{variant}_{seed}.json").write_text(json.dumps(run))
+        (tmp_path / "metrics_Proposed_9.json").write_text(json.dumps(metrics | {"seed": 9}))
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 0
+        proposed = json.loads((tmp_path / "report.json").read_text())["ne"]["Proposed"]
+        assert proposed["median_delta_pct"] == pytest.approx(-5.0, abs=1e-9)
+        assert proposed["sign_test"]["negative"] == 2 and proposed["sign_test"]["n"] == 3
+        assert list(proposed["per_seed"]) == ["0", "1", "2", "9"]
+        assert proposed["per_seed"]["9"]["delta_pct"] is None
+
+    def test_repeated_variant_and_seed_refused(self, trained_run, tmp_path, capsys):
+        """Two metrics files of the same (variant, seed) exit 2 naming both,
+        with no report written."""
+        text = (trained_run[0] / "metrics_Proposed_3.json").read_text()
+        first, second = tmp_path / "metrics_Proposed_3.json", tmp_path / "metrics_Proposed_3b.json"
+        first.write_text(text)
+        second.write_text(text)
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "variant Proposed seed 3" in err
+        assert not list(tmp_path.glob("report.*"))
 
     @pytest.mark.parametrize("defect", ["other_dataset", "unknown_variant"])
     def test_metrics_files_report_cannot_render_refused(self, trained_run, tmp_path, capsys,
@@ -757,6 +793,43 @@ class TestReport:
         missing = str(tmp_path / "nowhere")
         assert cli.main(["report", "--metrics", missing]) == 2
         assert missing in capsys.readouterr().err
+
+
+class TestRenderNeTable:
+    def test_text_is_pinned(self):
+        """The NE table of ablation.txt and report.txt, character for
+        character; a delta that is None prints --."""
+        def row(ne, delta, negative, n, reference):
+            return {"per_seed": {}, "median_ne": ne, "median_delta_pct": delta,
+                    "sign_test": {"n": n, "negative": negative, "p_value": 1.0},
+                    "reference_delta_pct": reference}
+        table = {"Baseline": row(0.93125, 0.0, 0, 0, None),
+                 "Proposed": row(0.912345678, -2.0345, 4, 5, -0.139),
+                 "TaskArch": row(0.95, None, 0, 0, None)}
+        assert cli.render_ne_table(table) == (
+            "variant       median NE  median delta  sign(neg/n)  reference delta (not a target)\n"
+            "----------------------------------------------------------------------------------\n"
+            "Baseline        0.93125       +0.000%          0/0                              --\n"
+            "Proposed        0.91235       -2.034%          4/5                         -0.139%\n"
+            "TaskArch        0.95000            --          0/0                              --")
+
+    def test_render_contains_all_variants_and_reference(self, tiny_dataset):
+        _, world, schema, _, days = tiny_dataset
+        small_eval = C.EvalConfig(replay_users=20, replay_candidates=30, replay_k=5,
+                                  probe_samples=200)
+        result = E.ablation_run(tiny_model_config(), C.TrainConfig(batch_size=64),
+                                small_eval, world, days[:2], schema, seeds=range(5),
+                                variants=["Baseline", "Proposed"])
+        text = cli.render_ne_table(result["table"])
+        assert "Baseline" in text and "Proposed" in text
+        assert "not a target" in text
+        assert "-0.139" in text
+        # each "neg/n" cell is right-aligned under its header
+        lines = text.splitlines()
+        end = lines[0].index("sign(neg/n)") + len("sign(neg/n)")
+        for line, variant in zip(lines[2:], result["variants"]):
+            sign = result["table"][variant]["sign_test"]
+            assert line[:end].endswith(f" {sign['negative']}/{sign['n']}"), line
 
 
 @pytest.mark.parametrize("case", ["rank_list", "rank_no_payload", "train_list_manifest"])
@@ -1079,7 +1152,14 @@ def test_dataset_file_without_payload_keys_is_validation_error(cli_env, tmp_path
 
 def _cut_rows(name):
     def edit(payload):
-        payload["arrays"][name]["shape"][0] -= 3
+        payload["arrays"][name] = payload["arrays"][name][:-3]
+    return edit
+
+
+def _set_world_value(name, index, value):
+    def edit(payload):
+        payload["arrays"][name] = payload["arrays"][name].copy()
+        payload["arrays"][name][index] = value
     return edit
 
 
@@ -1090,26 +1170,33 @@ def _set_config(key, value):
 
 
 # each edit of world.json, with the array the refusal names: every array cut
-# 3 rows short, and a config that no longer fits the unchanged arrays
+# 3 rows short, a config that no longer fits the unchanged arrays, and values
+# that trained with RuntimeWarnings before World checked its ranges
 MALFORMED_WORLDS = {
     **{f"{name}_three_rows_short": (name, _cut_rows(name)) for name in S._WORLD_ARRAYS},
     "config_of_ten_users": ("conformity", _set_config("n_users", 10)),
     "config_of_five_topics": ("interests", _set_config("k_topics", 5)),
+    "popularity_of_zero": ("popularity", _set_world_value("popularity", 0, 0.0)),
+    "nan_conformity": ("conformity", _set_world_value("conformity", 0, np.nan)),
+    "topics_row_of_zeros": ("topics", _set_world_value("topics", 0, 0.0)),
 }
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("case", list(MALFORMED_WORLDS))
 def test_malformed_world_refused_before_out(cli_env, tmp_path, capsys, command, case):
-    """A re-signed world.json whose arrays do not fit its own config exits 2
-    naming the file and the array, before --out is made."""
+    """A re-signed world.json whose arrays do not fit its own config, or hold
+    a value outside their range, exits 2 naming the file and the array,
+    before --out is made."""
     import shutil
     _, cfg_path, data_dir = cli_env
     bad = tmp_path / "data"
     shutil.copytree(data_dir, bad)
     path = bad / "world.json"
     key, edit = MALFORMED_WORLDS[case]
-    rewrite_payload(path, path, edit)
+    payload = S.load_container(path, fmt=S.WORLD_FORMAT)
+    edit(payload)
+    S.save_container(path, payload, fmt=S.WORLD_FORMAT)
     resign_manifest(bad)
     out = tmp_path / "o"
     assert cli.main([command, "--config", cfg_path, "--dataset", str(bad),
@@ -1239,6 +1326,44 @@ def test_manifest_config_hash_must_be_world_configs(cli_env, tmp_path, capsys):
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{manifest} 'config_hash' is '{forged}', not world.json's" in err
+    assert not out.exists()
+
+
+def test_manifest_schema_hash_must_be_schema_files(cli_env, tmp_path, capsys):
+    """A re-signed manifest whose schema_hash is not schema.tsv's hash exits 2
+    naming the manifest, the key and schema.tsv, before --out is made."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    manifest, forged = bad / S.MANIFEST_NAME, "0" * 16
+    rewrite_payload(manifest, manifest, lambda payload: payload.update(schema_hash=forged))
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest} 'schema_hash' is '{forged}', not schema.tsv's" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,deleted", [("schema.tsv", True), ("world.json", False)])
+def test_manifest_must_list_schema_and_world(cli_env, tmp_path, capsys, name, deleted):
+    """A re-signed manifest that does not list schema.tsv (here also deleted)
+    or world.json (here present, so it would be read unchecked) exits 2
+    naming the manifest and the file, before --out is made."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    manifest = bad / S.MANIFEST_NAME
+    rewrite_payload(manifest, manifest, lambda payload: payload["files"].pop(name))
+    if deleted:
+        (bad / name).unlink()
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest} 'files' does not list '{name}'" in err and "runtime error" not in err
     assert not out.exists()
 
 

@@ -251,18 +251,16 @@ class TestAblationRun:
             E.ablation_run(tiny_model_config(), TrainConfig(), SMALL_EVAL, world,
                            days[:2], schema, seeds=range(5), variants=["Proposed", "Proposed"])
 
-    def test_render_contains_all_variants_and_reference(self, tiny_dataset):
-        _, world, schema, _, days = tiny_dataset
-        result = E.ablation_run(tiny_model_config(), TrainConfig(batch_size=64),
-                                SMALL_EVAL, world, days[:2], schema, seeds=range(5),
-                                variants=["Baseline", "Proposed"])
-        text = E.render_ablation_table(result)
-        assert "Baseline" in text and "Proposed" in text
-        assert "not a target" in text
-        assert "-0.139" in text
-        # each "neg/n" cell is right-aligned under its header
-        lines = text.splitlines()
-        end = lines[0].index("sign(neg/n)") + len("sign(neg/n)")
-        for line, variant in zip(lines[2:], result["variants"]):
-            st = result["table"][variant]["sign_test"]
-            assert line[:end].endswith(f" {st['negative']}/{st['n']}"), line
+    def test_ne_table_pairs_deltas_by_seed(self):
+        """A delta is taken against the same seed's Baseline, and is None
+        where that seed has no Baseline run; medians and the sign test use
+        the paired deltas only."""
+        table = E.ne_table({("Baseline", 0): 1.0, ("Proposed", 0): 0.9, ("Proposed", 1): 1.2})
+        assert list(table) == ["Baseline", "Proposed"]
+        per_seed = table["Proposed"]["per_seed"]
+        assert per_seed[0]["delta_pct"] == pytest.approx(-10.0)
+        assert per_seed[1]["delta_pct"] is None
+        assert table["Proposed"]["median_ne"] == pytest.approx(1.05)
+        assert table["Proposed"]["median_delta_pct"] == pytest.approx(-10.0)
+        assert table["Proposed"]["sign_test"]["n"] == 1
+        assert E.ne_table({("Proposed", 0): 0.9})["Proposed"]["median_delta_pct"] is None
