@@ -19,7 +19,7 @@ from . import config as C
 from . import evalrank as E
 from . import serialize as S
 from . import trainer as T
-from .datagen import generate_world, simulate_days
+from .datagen import DataGenError, _check_feature_schema, generate_world, simulate_days
 from .model import SchemaHashError
 from .schema import default_schema, read_schema_file, write_schema_file
 
@@ -51,22 +51,28 @@ def _prepare_out_dir(out_dir, force: bool):
 
 
 def _dataset_days(dataset_dir) -> tuple:
-    """Verify that the manifest lists and matches the schema file and
-    world.json, then load the day files in order, refusing any that is not a
-    day record of the dataset's schema and world (serialize.check_day_record)."""
+    """(world, schema, days) of a dataset: verify that the manifest lists and
+    matches schema.tsv and world.json, and that the schema declares the world's
+    features, then load the day files in order, each a day record of both."""
     manifest_path = os.path.join(dataset_dir, S.MANIFEST_NAME)
+    schema_path = os.path.join(dataset_dir, "schema.tsv")
+    world_path = os.path.join(dataset_dir, "world.json")
     try:
         manifest = S.load_manifest(dataset_dir)
         for name in ("schema.tsv", "world.json"):
             if name not in manifest["files"]:
                 raise S.CheckpointError(f"{manifest_path} 'files' does not list {name!r}")
-        schema = read_schema_file(os.path.join(dataset_dir, "schema.tsv"))
-        world = _dataset_world(dataset_dir)
+        schema = read_schema_file(schema_path)
+        world = S.read_world_file(world_path)
         for key, name, value in (("schema_hash", "schema.tsv", schema.hash),
                                  ("config_hash", "world.json", C.config_hash(world.cfg))):
             if manifest[key] != value:
                 raise S.CheckpointError(
                     f"{manifest_path} {key!r} is {manifest[key]!r}, not {name}'s {value!r}")
+        try:
+            _check_feature_schema(world, schema)
+        except DataGenError as e:
+            raise S.CheckpointError(f"{schema_path} does not fit {world_path}: {e}") from None
         days = []
         names = sorted(n for n in manifest["files"] if n.startswith("day_"))
         for day, name in enumerate(names):
@@ -75,7 +81,7 @@ def _dataset_days(dataset_dir) -> tuple:
             S.check_day_record(days[-1], day, schema, world, path)
     except S.CheckpointError as e:
         raise CliError(f"dataset refused: {e}", EXIT_VALIDATION)
-    return manifest, schema, days
+    return world, schema, days
 
 
 def _check_task_count(model_cfg: C.ModelConfig, world):
@@ -89,11 +95,6 @@ def _check_task_count(model_cfg: C.ModelConfig, world):
 
 def _write_text(path, text: str):
     S.write_atomic(path, [text.encode()])
-
-
-def _dataset_world(dataset_dir):
-    """The generator's ground truth stored next to the day files."""
-    return S.read_world_file(os.path.join(dataset_dir, "world.json"))
 
 
 # -- gen-data -----------------------------------------------------------
@@ -136,7 +137,7 @@ def _ecosystem_summary(world, days) -> dict:
     age = E.engagement_by_item_age(event_days, world.birth_day[items], engaged)
     tail = E.item_tail_coverage(world, items, engaged)
 
-    n_days = world.cfg.n_days
+    n_days = len(days)  # a first-k-days view loads fewer than world.cfg.n_days
     active = np.zeros((world.n_users, n_days), dtype=bool)
     active[users, event_days] = True
     window = min(28, n_days - 1)
@@ -162,8 +163,7 @@ def cmd_train(args) -> int:
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     if args.seed is not None:
         model_cfg = dataclasses.replace(model_cfg, seed=args.seed)
-    manifest, schema, days = _dataset_days(args.dataset)
-    world = _dataset_world(args.dataset)
+    world, schema, days = _dataset_days(args.dataset)
     if args.resume:
         # only an explicit --config is checked: without one the checkpoint's own config runs
         expect = T.state_config_hash(cfg.model, cfg.train) if args.config else None
@@ -189,7 +189,7 @@ def cmd_train(args) -> int:
 
     metrics = {
         "config_hash": state.config_hash,
-        "dataset_config_hash": manifest["config_hash"],
+        "dataset_config_hash": C.config_hash(world.cfg),
         "variant": state.model.config.variant,
         "seed": state.model.config.seed,
         "rows": [dataclasses.asdict(r) for r in rows],
@@ -216,8 +216,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     seeds = E.check_seeds(cfg.seeds if args.seeds is None else args.seeds)  # a ValueError exits 2
     E.check_variants(args.variants)
-    _, schema, days = _dataset_days(args.dataset)
-    world = _dataset_world(args.dataset)
+    world, schema, days = _dataset_days(args.dataset)
     _check_task_count(cfg.model, world)
     _prepare_out_dir(args.out, args.force)
 
@@ -346,6 +345,9 @@ def _read_metrics(path) -> dict:
             raise CliError(f"metrics file {path} row {i} has no 'ne_aggregated' key",
                            EXIT_VALIDATION)
         _check_type(path, f"row {i} 'ne_aggregated'", row["ne_aggregated"], (int, float))
+        if not abs(row["ne_aggregated"]) <= sys.float_info.max:  # NaN, inf or 10**400
+            raise CliError(f"metrics file {path} row {i} 'ne_aggregated' is not finite",
+                           EXIT_VALIDATION)
     for keys, types in _ECOSYSTEM_KEYS:
         node, name = run["ecosystem"], "ecosystem"
         for key in keys:
@@ -409,9 +411,9 @@ def cmd_report(args) -> int:
                for name in ("casual", "non_casual"))]
 
     text = "\n".join(lines)
-    print(text)
     _write_text(os.path.join(args.metrics, "report.txt"), text + "\n")
     _write_text(os.path.join(args.metrics, "report.json"), json.dumps(summary, indent=1))
+    print(text)
     return EXIT_OK
 
 

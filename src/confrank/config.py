@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .schema import ATTRIBUTE, STATISTICAL
@@ -69,6 +70,14 @@ class DataConfig:
                               f"distinct topics), got {self.k_topics}")
         if self.n_days < 2:
             raise ConfigError("need at least one train day and one test day")
+        for name, least in (("n_tasks", 1), ("n_age_buckets", 2), ("n_content_types", 2),
+                            ("mean_activity", 0), ("new_items_per_day", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.new_items_per_day * (self.n_days - 1) >= self.n_items:
+            raise ConfigError("new_items_per_day * (n_days - 1) must be < n_items")
+        if len(self.conformity_beta) != 2 or min(self.conformity_beta) <= 0:
+            raise ConfigError(f"conformity_beta must be two values > 0, got {self.conformity_beta}")
         for name in ("task_alpha", "task_beta", "task_gamma"):
             if len(getattr(self, name)) != self.n_tasks:
                 raise ConfigError(f"{name} must have one entry per task")
@@ -178,6 +187,8 @@ def _check_type(where: str, value, default):
     if type(value) not in _ACCEPTS[type(default)]:
         raise ConfigError(f"{where} must be {type(default).__name__}, "
                           f"got {type(value).__name__} {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if isinstance(default, tuple) and default:
         for v in value:
             _check_type(f"each of {where}", v, default[0])

@@ -177,8 +177,6 @@ def generate_world(cfg: DataConfig) -> World:
     # Late-born items: a fixed slice per simulated day after day 0.
     birth_day = np.zeros(cfg.n_items, dtype=np.int64)
     n_new = cfg.new_items_per_day * (cfg.n_days - 1)
-    if n_new >= cfg.n_items:
-        raise DataGenError("new_items_per_day * days exceeds the catalog")
     late = rng.choice(cfg.n_items, size=n_new, replace=False)
     for d in range(1, cfg.n_days):
         lo = (d - 1) * cfg.new_items_per_day

@@ -239,17 +239,7 @@ class TestTrain:
 
     def test_resume_matches_straight_run(self, cli_env, trained_run, tmp_path, capsys):
         _, cfg_path, data_dir = cli_env
-        # a 2-day view of the same dataset: same files, manifest rewritten
-        import shutil
-        short = tmp_path / "data_short"
-        short.mkdir()
-        keep = [S.day_filename(0), S.day_filename(1), "schema.tsv", "world.json"]
-        for name in keep:
-            shutil.copy(os.path.join(data_dir, name), short / name)
-        full_manifest = S.load_manifest(data_dir)
-        S.write_manifest(str(short), full_manifest["config_hash"],
-                         full_manifest["schema_hash"], keep)
-
+        short = _first_days(data_dir, tmp_path / "data_short", 2)
         part = tmp_path / "part"
         assert cli.main(["train", "--config", cfg_path, "--dataset", str(short),
                          "--out", str(part)]) == 0
@@ -261,6 +251,49 @@ class TestTrain:
 
         straight = trained_run[0] / "checkpoint_Proposed_3.json"
         assert straight.read_bytes() == (resumed / "checkpoint_Proposed_3.json").read_bytes()
+
+    def test_reads_world_once(self, cli_env, tmp_path, monkeypatch, capsys):
+        """One dataset load: train reads and checks world.json once."""
+        _, cfg_path, data_dir = cli_env
+        calls = []
+        read = S.read_world_file
+        monkeypatch.setattr(S, "read_world_file", lambda path: calls.append(path) or read(path))
+        assert cli.main(["train", "--config", cfg_path, "--dataset", data_dir,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert calls == [os.path.join(data_dir, "world.json")]
+
+    def test_ecosystem_summary_covers_the_loaded_days(self, cli_env, tmp_path, capsys):
+        """On a 2-day view of the 4-day dataset the cohort window is day 0 and
+        each cohort's engagement is its users' day-1 anchor labels; days the
+        view does not load count for nothing."""
+        _, cfg_path, data_dir = cli_env
+        short = _first_days(data_dir, tmp_path / "data_short", 2)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--dataset", str(short),
+                         "--out", str(out)]) == 0
+        cohort = json.loads((out / "metrics_Proposed_3.json").read_text())["ecosystem"]["cohort"]
+        day0, day1 = (S.read_day_file(os.path.join(data_dir, S.day_filename(d))) for d in (0, 1))
+        n_users = TINY_CONFIG["data"]["n_users"]
+        active = np.isin(np.arange(n_users), day0["user_ids"])
+        post = np.bincount(day1["user_ids"], weights=day1["labels"][:, 0], minlength=n_users)
+        assert cohort["window_days"] == 1
+        for name, mask in (("casual", active), ("non_casual", ~active)):
+            assert cohort[name]["users"] == mask.sum()
+            assert cohort[name]["mean_engagement"] == pytest.approx(post[mask].mean(), abs=1e-12)
+            assert cohort[name]["mean_active_days"] == (1.0 if name == "casual" else 0.0)
+
+
+def _first_days(data_dir, dest, n_days: int):
+    """A view of the dataset in data_dir holding only its first n_days day
+    files, with schema.tsv, world.json and a manifest of those files."""
+    import shutil
+    dest.mkdir()
+    keep = [*map(S.day_filename, range(n_days)), "schema.tsv", "world.json"]
+    for name in keep:
+        shutil.copy(os.path.join(data_dir, name), dest / name)
+    manifest = S.load_manifest(data_dir)
+    S.write_manifest(str(dest), manifest["config_hash"], manifest["schema_hash"], keep)
+    return dest
 
 
 # Each of these exits 2 before the output directory is made.
@@ -279,6 +312,15 @@ MALFORMED_RUNS = {
     "negative_lr": {"train": {"lr": -1}},
     "zero_eps": {"train": {"eps": 0}},
     "beta_above_one": {"train": {"betas": [1.5, 0.999]}},
+    # a float that is not finite: each trained with exit 0 or exited 3 after
+    # --out was made before config._check_type refused it
+    "nan_mixture_weight": {"model": {"mixture_weight": float("nan")}},
+    "infinite_eps": {"train": {"eps": float("inf")}},
+    "nan_task_weight": {"model": {"task_weights": [1.0, float("nan"), 1.0]}},
+    "infinite_task_weight": {"model": {"task_weights": [1.0, 1.0, float("inf")]}},
+    "nan_conformity_weight": {"model": {"conformity_weight": float("nan")}},
+    "infinite_relevance_weight": {"model": {"relevance_weight": float("inf")}},
+    "infinite_lr": {"train": {"lr": float("inf")}},
 }
 
 
@@ -295,6 +337,38 @@ def test_malformed_run_refused_before_out(cli_env, tmp_path, capsys, command, ca
     assert cli.main([command, "--config", str(cfg_path), "--dataset", data_dir,
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+# Each data-config edit, with the field its refusal names: gen-data exits 2
+# naming the config file before --out is made. Before DataConfig checked
+# these ranges, the first three exited 3, the NaN task_alpha wrote a dataset
+# with no positive label, and the rest exited 2 only after --out was made.
+MALFORMED_DATA = {
+    "no_tasks": ({"n_tasks": 0, "task_alpha": [], "task_beta": [], "task_gamma": []},
+                 "n_tasks"),
+    "one_beta_value": ({"conformity_beta": [1.0]}, "conformity_beta"),
+    "three_beta_values": ({"conformity_beta": [1.0, 2.0, 3.0]}, "conformity_beta"),
+    "zero_beta_value": ({"conformity_beta": [0.0, 5.0]}, "conformity_beta"),
+    "one_age_bucket": ({"n_age_buckets": 1}, "n_age_buckets"),
+    "one_content_type": ({"n_content_types": 1}, "n_content_types"),
+    "negative_activity": ({"mean_activity": -1.0}, "mean_activity"),
+    "negative_new_items": ({"new_items_per_day": -1}, "new_items_per_day"),
+    "catalog_too_small": ({"new_items_per_day": 40}, "new_items_per_day"),
+    "nan_task_alpha": ({"task_alpha": [float("nan")] * 3}, "task_alpha"),
+    "infinite_zipf_s": ({"zipf_s": float("inf")}, "zipf_s"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DATA))
+def test_malformed_data_config_refused_before_out(tmp_path, capsys, case):
+    over, field = MALFORMED_DATA[case]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "data": {**TINY_CONFIG["data"], **over}}))
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad config file {cfg_path}" in err and field in err
     assert not out.exists()
 
 
@@ -636,6 +710,29 @@ class TestReport:
         assert (metrics / "report.txt").exists()
         assert not [f for f in os.listdir(metrics) if f.endswith(".tmp")]
 
+    def test_closed_stdout_still_writes_the_report(self, trained_run, tmp_path, monkeypatch,
+                                                   capsys):
+        """A reader that closes stdout early (every write raises
+        BrokenPipeError) fails the print, not the report: report.txt and
+        report.json are written first, as a report with stdout open writes
+        them."""
+        import shutil
+        for path in trained_run[0].glob("metrics_*.json"):
+            shutil.copy(path, tmp_path)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("sys.stdout", ClosedPipe())
+            assert cli.main(["report", "--metrics", str(tmp_path)]) == 3
+        written = {name: (tmp_path / name).read_bytes() for name in ("report.txt", "report.json")}
+        assert cli.main(["report", "--metrics", str(tmp_path)]) == 0
+        assert "Broken pipe" in capsys.readouterr().err
+        for name, data in written.items():
+            assert (tmp_path / name).read_bytes() == data
+
     @pytest.mark.parametrize("defect,message", [
         ("empty_object", "no 'variant' key"),
         ("no_rows", "no rows"),
@@ -662,6 +759,9 @@ class TestReport:
         ("word_tail_count", "ecosystem['tail']['counts']['0.5'] of type str, not int"),
         ("no_seed", "no 'seed' key"),
         ("string_seed", "'seed' of type str, not int"),
+        ("nan_ne", "row 0 'ne_aggregated' is not finite"),
+        ("infinite_ne", "row 0 'ne_aggregated' is not finite"),
+        ("int_ne_past_float_max", "row 0 'ne_aggregated' is not finite"),
     ])
     def test_malformed_metrics_file_refused(self, trained_run, tmp_path, capsys, defect,
                                             message):
@@ -703,7 +803,9 @@ class TestReport:
                "word_tail_count_key": edited("tail", "counts", value={"half": 3}),
                "word_tail_count": edited("tail", "counts", value={"0.5": "three"}),
                "no_seed": {k: v for k, v in metrics.items() if k != "seed"},
-               "string_seed": {**metrics, "seed": "3"}}
+               "string_seed": {**metrics, "seed": "3"},
+               "nan_ne": with_ne(float("nan")), "infinite_ne": with_ne(float("-inf")),
+               "int_ne_past_float_max": with_ne(10**400)}
         path = tmp_path / "metrics_Proposed_3.json"
         path.write_text("{" if defect == "not_json" else json.dumps(bad[defect]))
         assert cli.main(["report", "--metrics", str(tmp_path)]) == 2
@@ -1068,6 +1170,57 @@ def test_edited_checkpoint_never_exits_3(cli_env, tmp_path_factory, path, edit):
     assert code == 0 or str(bad) in err.getvalue(), err.getvalue()
 
 
+# each field of the tiny run config, seeds included, and the command that
+# reads its section
+CONFIG_FIELDS = [(section, key) for section, fields in C.to_dict(C.RunConfig()).items()
+                 if isinstance(fields, dict) for key in fields] + [("seeds",)]
+COMMAND_OF = {"data": "gen-data", "model": "train", "train": "train", "eval": "ablate",
+              "seeds": "ablate"}
+CONFIG_EDITS = {"swap_type": _other_type, "nan": lambda value: float("nan"),
+                "inf": lambda value: float("inf"), "-inf": lambda value: -float("inf"),
+                "-1": lambda value: -1, "0": lambda value: 0}
+
+
+def _run_edited_config(data_dir, root: Path, path: tuple, edit: str):
+    """(exit code, stderr, config path, --out) of the command that reads
+    path's section, run on the tiny run config with path dropped or edited."""
+    cfg = C.to_dict(run_config_from_dict(TINY_CONFIG))
+    *head, key = path
+    node = functools.reduce(operator.getitem, head, cfg)
+    if edit == "drop":
+        del node[key]
+    else:
+        node[key] = CONFIG_EDITS[edit](node[key])
+    cfg_path, out = root / "config.json", root / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [COMMAND_OF[path[0]], "--config", str(cfg_path), "--out", str(out)]
+    if argv[0] != "gen-data":
+        argv += ["--dataset", data_dir]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue(), cfg_path, out
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS), st.sampled_from(["drop", *CONFIG_EDITS]))
+@example(path=("train", "lr"), edit="inf")  # train exited 3 after --out was made
+@example(path=("data", "mean_activity"), edit="-1")  # gen-data exited 2 after --out
+def test_edited_run_config_is_refused_before_out(cli_env, tmp_path_factory, path, edit):
+    """One field of the tiny run config dropped, given another JSON type, or
+    set to NaN, +-Infinity, -1 or 0: gen-data (for a data field), train (model
+    or train) or ablate (eval or seeds) runs (0) or refuses it (2) naming the
+    config file before --out is made, and never fails (3)."""
+    import shutil
+    import tempfile
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    code, err, cfg_path, out = _run_edited_config(cli_env[2], root, path, edit)
+    made_out = out.exists()
+    shutil.rmtree(root)
+    assert code in (0, 2), err
+    assert code == 0 or (f"bad config file {cfg_path}" in err and not made_out), err
+
+
 def _drop_adam_step_counts(payload):
     for entry in payload["adam"].values():
         del entry["t"]
@@ -1179,6 +1332,7 @@ MALFORMED_WORLDS = {
     "popularity_of_zero": ("popularity", _set_world_value("popularity", 0, 0.0)),
     "nan_conformity": ("conformity", _set_world_value("conformity", 0, np.nan)),
     "topics_row_of_zeros": ("topics", _set_world_value("topics", 0, 0.0)),
+    "nan_in_config": ("config", _set_config("zipf_s", float("nan"))),
 }
 
 
@@ -1326,6 +1480,37 @@ def test_manifest_config_hash_must_be_world_configs(cli_env, tmp_path, capsys):
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{manifest} 'config_hash' is '{forged}', not world.json's" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("key", ["n_content_types", "n_age_buckets"])
+def test_world_config_must_fit_schema(cli_env, tmp_path, capsys, command, key):
+    """A world.json whose config has one more content type (or age bucket)
+    than schema.tsv declares, with the manifest's config_hash re-derived,
+    exits 2 naming both files before --out is made. Unchecked at load, train
+    ran on it with exit 0, and ablate trained every run before replay
+    refused the schema."""
+    import shutil
+    _, cfg_path, data_dir = cli_env
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    world, manifest = bad / "world.json", bad / S.MANIFEST_NAME
+    edited = {}
+
+    def edit(payload):
+        payload["config"][key] += 1
+        edited.update(payload["config"])
+
+    rewrite_payload(world, world, edit)
+    config_hash = C.config_hash(C._from_dict(C.DataConfig, edited))
+    rewrite_payload(manifest, manifest, lambda payload: payload.update(config_hash=config_hash))
+    resign_manifest(bad)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg_path, "--dataset", str(bad),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad / 'schema.tsv'} does not fit {world}" in err and "declared differently" in err
     assert not out.exists()
 
 
